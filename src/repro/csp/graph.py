@@ -90,6 +90,12 @@ class ConstraintGraph:
             raise ValueError("a constraint graph needs at least one variable")
         self.name = name
         self.variables: Tuple[Variable, ...] = tuple(variables)
+        first = self.variables[0].domain
+        #: The shared domain (see :attr:`homogeneous_domain`); ``variables``
+        #: is an immutable tuple, so it is settled once here.
+        self._homogeneous_domain: Optional[Tuple[int, ...]] = (
+            first if all(v.domain == first for v in self.variables[1:]) else None
+        )
         self._var_index: Dict[str, int] = {}
         for i, var in enumerate(self.variables):
             if var.name in self._var_index:
@@ -131,10 +137,7 @@ class ConstraintGraph:
     @property
     def homogeneous_domain(self) -> Optional[Tuple[int, ...]]:
         """The shared domain when all variables use the same one, else ``None``."""
-        first = self.variables[0].domain
-        if all(v.domain == first for v in self.variables[1:]):
-            return first
-        return None
+        return self._homogeneous_domain
 
     def variable_index(self, ref: VariableRef) -> int:
         """Resolve a variable reference (index, name or Variable) to its index."""

@@ -68,11 +68,17 @@ equivalence down with randomized cross-checks.  The pure-integer regions
 carrying that proof are marked ``# reprolint: exact-int`` — reprolint's
 RL003 rule (``docs/LINTING.md``) fails the lint on any float literal,
 true division or float cast introduced inside them.
+
+Those NumPy stages are the reference and the fallback.  When the native
+kernel of :mod:`repro.runtime._native` loads, a fixed-point batch on the
+raw-integer feed with a ``shared``, ``flat`` or no-synapse layout runs
+the whole step — gather, decay, quantisation and every substep — as one
+C call instead (bit-identical; ``docs/RUNTIME.md`` covers the build).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -653,6 +659,7 @@ class BatchedNetwork:
         self._iscratch = np.zeros(shape, dtype=np.int64)
         self._iscratch2 = np.zeros(shape, dtype=np.int64)
         self._v_scratch: Optional[np.ndarray] = None
+        self._unbind_native()
 
         pops = [net.population for net in networks]
         if self.is_fixed_point:
@@ -801,11 +808,107 @@ class BatchedNetwork:
         np.add(z, syn_raw, out=z)  # int64 -> float64 conversion is exact here
         return _quantize_scaled_q15_16(z, self._isyn_raw, self._fscratch2)
 
+    # ------------------------------------------------------------------ #
+    # Native step kernel (repro.runtime._native)
+    # ------------------------------------------------------------------ #
+    def _unbind_native(self) -> None:
+        """Forget the native binding; the next step rebinds to the new layout."""
+        self._native_bound = False
+        self._native_call: Optional[Callable[[int, int, int], None]] = None
+        self._native_keep: Dict[str, np.ndarray] = {}
+        self._native_ptrs: Dict[int, int] = {}
+        self._native_ext: tuple = (None, 0)
+
+    def _bind_native(self) -> None:
+        """Bind the native step kernel to this batch's layout, if it applies.
+
+        The kernel covers the fixed-point raw-current feed with the
+        ``shared``, ``flat`` and no-synapse layouts; the dense integer,
+        float and ``integer_csr=False`` paths stay on NumPy, as does
+        every batch when the kernel cannot be built or loaded.
+        """
+        self._native_bound = True
+        syn = self._synapses
+        if not (self.is_fixed_point and self._use_raw_current) or syn._int_kind == "dense":
+            return
+        from . import _native  # deferred: importing the engine loads nothing native
+
+        kernel = _native.load_step_kernel()
+        if kernel is None:
+            return
+        none = np.zeros(1, dtype=np.int64)
+        gather = syn._flat_gather if syn._flat_gather is not None else syn._shared_gather
+        if gather is None:
+            layout, indptr, indices, weights = 0, none, none, none
+        else:
+            indptr, indices, _, data, _ = gather
+            layout = 2 if syn._flat_gather is not None else 1
+            weights = data.astype(np.int64)  # exact: raw Q15.16 payloads
+        decay = self.current_mode == "decay"
+        shifts = list(SHIFT_SELECTIONS[self.tau_select]) if decay else []
+        pad = 4 - len(shifts)
+        ints = {
+            "batch": self.batch_size,
+            "size": self.size,
+            "layout": layout,
+            "decay": int(decay),
+            "shifts": tuple(shifts + [0] * pad),
+            "masks": tuple([-1] * len(shifts) + [0] * pad),
+            "h_shift": self.h_shift,
+            "substeps": self._substeps,
+            "pin": int(self._kernel.pin_voltage),
+            "coeff_004": _COEFF_004_Q4_11,
+            "const_140": _CONST_140_ACC,
+            "bv_shift": _BV_SHIFT,
+            "v_th": _VTH_RAW,
+            "q78_min": _Q7_8_MIN,
+            "q78_max": _Q7_8_MAX,
+            "q1516_min": _Q15_16_MIN,
+            "q1516_max": _Q15_16_MAX,
+        }
+        kern = self._kernel
+        arrays = {
+            "indptr": indptr,
+            "indices": indices,
+            "weights": weights,
+            "v": self.v_raw,
+            "u": self.u_raw,
+            "a": kern.a,
+            "b": kern.b,
+            "c": kern.c,
+            "d": kern.d_q78,
+            "isyn": self._isyn_raw,
+            "syn": np.zeros(self.size, dtype=np.int64),
+        }
+        self._native_call = kernel.bind(ints, arrays)
+        self._native_keep = arrays
+        # The two engine-owned spike buffers swap roles every step.
+        self._native_ptrs = {id(f): f.ctypes.data for f in (self._last_fired, self._fired)}
+
+    def _native_advance(self, call: Callable[[int, int, int], None], external: np.ndarray) -> None:
+        """One native step (``_fixed_isyn_raw`` plus every substep) via the bound ``call``."""
+        cached, ext_ptr = self._native_ext
+        if external is not cached:
+            # Drives reuse their output buffer, so the pointer lookup is
+            # paid once per buffer (the cache also keeps it alive).
+            ext = external
+            if ext.shape != self._fired.shape or not ext.flags.c_contiguous:
+                ext = np.ascontiguousarray(np.broadcast_to(ext, self._fired.shape))
+            ext_ptr = ext.ctypes.data
+            self._native_ext = (external, ext_ptr) if ext is external else (None, 0)
+        ptrs = self._native_ptrs
+        call(ext_ptr, ptrs[id(self._last_fired)], ptrs[id(self._fired)])
+
     def _advance_population(self, step_index: int) -> np.ndarray:
         external = self._external(step_index)
         fired = self._fired
         if self.is_fixed_point:
             if self._use_raw_current:
+                if not self._native_bound:
+                    self._bind_native()
+                if self._native_call is not None:
+                    self._native_advance(self._native_call, external)
+                    return fired
                 isyn_raw = self._fixed_isyn_raw(external)
             else:
                 synaptic = self._synapses.propagate(self._last_fired)
@@ -964,6 +1067,7 @@ class BatchedNetwork:
         for name, arr in arrays.items():
             target = getattr(self, name if name.startswith(("v", "u")) else f"_{name}")
             np.copyto(target, arr)
+        self._unbind_native()
 
     # ------------------------------------------------------------------ #
     # Active-set shrinking
@@ -1006,6 +1110,7 @@ class BatchedNetwork:
                 )
         self.networks = [self.networks[i] for i in keep]
         self.batch_size = int(keep.size)
+        self._unbind_native()
         for name in ("_last_fired", "_fired", "_current", "_ext", "_isyn_raw",
                      "_fscratch", "_fscratch2", "_iscratch", "_iscratch2"):
             setattr(self, name, np.ascontiguousarray(getattr(self, name)[keep]))
@@ -1086,6 +1191,7 @@ class BatchedNetwork:
         self._synapses.validate_extend([net.synapses for net in networks])
 
         raw_decay = self.is_fixed_point and self.current_mode == "decay" and self._use_raw_current
+        self._unbind_native()
         self._synapses.extend([net.synapses for net in networks])
         self.networks.extend(networks)
         self._externals.extend(net.external_input for net in networks)

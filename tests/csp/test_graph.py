@@ -52,6 +52,16 @@ class TestIndexing:
         assert graph.neuron_index("x1", 1) == 2
         assert graph.neuron_index("x2", 4) == 8
 
+    def test_homogeneous_domain_is_settled_at_construction(self):
+        shared = ConstraintGraph([Variable(f"x{i}", (1, 2, 3)) for i in range(4)])
+        assert shared.homogeneous_domain == (1, 2, 3)
+        assert shared.homogeneous_domain is shared.homogeneous_domain
+        mixed = ConstraintGraph([Variable("a", (1, 2, 3)), Variable("b", (1, 3, 2))])
+        assert mixed.homogeneous_domain is None
+        ragged = ConstraintGraph([Variable("a", (1, 2)), Variable("b", (1, 2, 3))])
+        assert ragged.homogeneous_domain is None
+        assert ConstraintGraph([Variable("only", (5, 7))]).homogeneous_domain == (5, 7)
+
     def test_lookup_errors(self):
         graph = _random_graph(2, [2, 2])
         with pytest.raises(KeyError):

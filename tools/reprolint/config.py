@@ -90,6 +90,7 @@ class CrashSafetyConfig:
         "src/repro/runtime/checkpoint.py",
         "src/repro/runtime/cache.py",
         "src/repro/serve/journal.py",
+        "src/repro/runtime/_native.py",
     )
     #: Subtrees where ``os._exit`` is only legal as the FaultPlan crash seam.
     exit_scope: Tuple[str, ...] = ("src/repro",)
