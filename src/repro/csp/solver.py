@@ -32,7 +32,7 @@ state) — every result stays bit-identical to a sequential :meth:`solve`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,10 @@ from ..snn.izhikevich import IzhikevichPopulation
 from ..snn.network import SNNNetwork
 from .config import CSPConfig
 from .graph import ClampsLike, ConstraintGraph
+
+if TYPE_CHECKING:
+    from ..runtime.checkpoint import Checkpointer
+    from ..runtime.slots import OneShotPolicy, SlotDecode, SlotEngine
 
 __all__ = ["CSPSolveResult", "SpikingCSPSolver", "decode_assignment", "solve_instances"]
 
@@ -249,12 +253,8 @@ class SpikingCSPSolver:
         check_interval:
             How often (in steps) the decoded assignment is tested.
         """
-        resolved = self.graph.resolve_clamps(clamps)
-        if not self.graph.clamps_consistent(resolved):
-            raise ValueError("clamps violate a constraint edge")
-        entry = _BatchEntry(self.graph, resolved, self.build_network(resolved))
         return _run_batch(
-            [entry], self.config, max_steps=max_steps, check_interval=check_interval
+            [self._entry(clamps)], self.config, max_steps=max_steps, check_interval=check_interval
         )[0]
 
     def solve_batch(
@@ -274,13 +274,15 @@ class SpikingCSPSolver:
         replicas that solve early are dropped from the live batch while
         the rest keep running.
         """
-        entries = []
-        for clamps in clamps_list:
-            resolved = self.graph.resolve_clamps(clamps)
-            if not self.graph.clamps_consistent(resolved):
-                raise ValueError("clamps violate a constraint edge")
-            entries.append(_BatchEntry(self.graph, resolved, self.build_network(resolved)))
+        entries = [self._entry(clamps) for clamps in clamps_list]
         return _run_batch(entries, self.config, max_steps=max_steps, check_interval=check_interval)
+
+    def _entry(self, clamps: ClampsLike) -> "_BatchEntry":
+        """One instance's batch entry: validated clamps plus a fresh network."""
+        resolved = self.graph.resolve_clamps(clamps)
+        if not self.graph.clamps_consistent(resolved):
+            raise ValueError("clamps violate a constraint edge")
+        return _BatchEntry(self.graph, resolved, self.build_network(resolved))
 
 
 def solve_instances(
@@ -322,7 +324,10 @@ def solve_instances(
     fingerprint; a directory holding a different solve's snapshots
     raises :class:`~repro.runtime.checkpoint.CheckpointError`.  ``fault``
     takes a :class:`~repro.runtime.checkpoint.FaultPlan` for the chaos
-    suites (deterministic crash/torn-write/corruption injection).
+    suites (deterministic crash/torn-write/corruption injection; its
+    crash fires with or without a ``checkpoint_dir``).  Both go through
+    one :class:`~repro.runtime.checkpoint.Checkpointer`, which also
+    rejects a non-positive ``checkpoint_every`` on every call.
     """
     if not instances:
         return []
@@ -352,25 +357,29 @@ def solve_instances(
             synapses=shared_synapses.get(id(graph)),
         )
         shared_synapses[id(graph)] = solver.synapses
-        resolved = graph.resolve_clamps(clamps)
-        if not graph.clamps_consistent(resolved):
-            raise ValueError("clamps violate a constraint edge")
-        return _BatchEntry(graph, resolved, solver.build_network(resolved))
+        return solver._entry(clamps)
 
-    if checkpoint_dir is None:
-        entries = [build_entry(i) for i in range(len(instances))]
-        return _run_batch(entries, cfg, max_steps=max_steps, check_interval=check_interval)
-    return _run_batch_checkpointed(
-        instances,
+    from ..runtime.checkpoint import Checkpointer, CheckpointStore
+
+    store = identity = None
+    if checkpoint_dir is not None:
+        store = CheckpointStore(checkpoint_dir, kind="csp-solve", fault=fault)
+        identity = _solve_fingerprint(instances, seeds, cfg, backend, max_steps, check_interval)
+    checkpointer = Checkpointer(
+        store,
+        check_interval=check_interval,
+        every=checkpoint_every,
+        fault=fault,
+        identity=identity,
+        snapshot=_one_shot_snapshot,
+    )
+    entries = [build_entry(i) for i in range(len(instances))]
+    return _run_batch(
+        entries,
         cfg,
-        backend=backend,
-        seeds=[int(s) for s in seeds],
-        build_entry=build_entry,
         max_steps=max_steps,
         check_interval=check_interval,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        fault=fault,
+        checkpointer=checkpointer,
     )
 
 
@@ -412,6 +421,7 @@ def _run_batch(
     *,
     max_steps: int,
     check_interval: int,
+    checkpointer: Optional["Checkpointer"] = None,
 ) -> List[CSPSolveResult]:
     """Advance all entries together, shrinking the batch as replicas solve.
 
@@ -440,6 +450,13 @@ def _run_batch(
     nothing to stack, and a non-positive step budget short-circuits in
     :meth:`SlotEngine.run`, leaving every entry to the canonical
     zero-step decode below.
+
+    A ``checkpointer`` (:class:`repro.runtime.checkpoint.Checkpointer`)
+    makes the run crash-safe: the newest readable snapshot is restored
+    first — live rows get their entry's fresh network, overwritten with
+    the snapshot state, and the retired outcomes come back with it — and
+    the engine snapshots the run as it goes, so a resumed run returns
+    results bit-identical to the uninterrupted one.
     """
     from ..runtime.slots import OneShotPolicy, SlotEngine, SlotRow
 
@@ -451,31 +468,31 @@ def _run_batch(
         check_interval=check_interval,
         extendable=False,
     )
-    policy = OneShotPolicy(
-        [
-            (
-                SlotRow(
-                    graph=entry.graph, clamps=entry.clamps, budget=max_steps, payload=index
-                ),
-                entry.network,
-            )
-            for index, entry in enumerate(entries)
-        ]
-    )
-    engine.run(policy, max_steps=max_steps)
+    restored = None
+    if checkpointer is not None:
+        restored = checkpointer.restore(engine, lambda index: (index, entries[index].network))
+    if restored is None:
+        policy = OneShotPolicy(
+            [
+                (
+                    SlotRow(
+                        graph=entry.graph, clamps=entry.clamps, budget=max_steps, payload=index
+                    ),
+                    entry.network,
+                )
+                for index, entry in enumerate(entries)
+            ]
+        )
+    else:
+        policy = OneShotPolicy([])
+        policy.outcomes = list(restored["outcomes"])
+    engine.run(policy, max_steps=max_steps, checkpointer=checkpointer)
 
     results: List[Optional[CSPSolveResult]] = [None] * len(entries)
     updates_per_step = engine.updates_per_step or 0
     for outcome in policy.outcomes:
-        results[outcome.row.payload] = CSPSolveResult(
-            solved=outcome.decode.solved,
-            steps=outcome.local_steps,
-            values=outcome.decode.values,
-            decided=outcome.decode.decided,
-            total_spikes=outcome.spikes,
-            neuron_updates=outcome.local_steps * updates_per_step,
-            attempts=1,
-            attempt_steps=(outcome.local_steps,),
+        results[outcome.row.payload] = _attempt_result(
+            outcome.decode, outcome.local_steps, outcome.spikes, updates_per_step
         )
     # Entries with no outcome never stepped (max_steps <= 0): the
     # zero-step decode, centralised in the engine's empty window.
@@ -483,6 +500,22 @@ def _run_batch(
         result if result is not None else _empty_result(entry.graph, entry.clamps)
         for entry, result in zip(entries, results)
     ]
+
+
+def _attempt_result(
+    decode: "SlotDecode", steps: int, spikes: int, updates_per_step: int
+) -> CSPSolveResult:
+    """The result of one single-attempt row that retired after ``steps`` local steps."""
+    return CSPSolveResult(
+        solved=decode.solved,
+        steps=steps,
+        values=decode.values,
+        decided=decode.decided,
+        total_spikes=spikes,
+        neuron_updates=steps * updates_per_step,
+        attempts=1,
+        attempt_steps=(steps,),
+    )
 
 
 def _solve_fingerprint(
@@ -518,121 +551,9 @@ def _solve_fingerprint(
     return hashlib.sha256(pickle.dumps(payload)).hexdigest()
 
 
-def _run_batch_checkpointed(
-    instances: Sequence[Tuple[ConstraintGraph, ClampsLike]],
-    config: CSPConfig,
-    *,
-    backend: str,
-    seeds: Sequence[int],
-    build_entry,
-    max_steps: int,
-    check_interval: int,
-    checkpoint_dir,
-    checkpoint_every: Optional[int],
-    fault,
-) -> List[CSPSolveResult]:
-    """The batch loop of :func:`_run_batch` with crash-safe snapshots.
-
-    Runs the same one-shot policy over the same engine, but every
-    ``checkpoint_every`` global steps (and once at completion) the full
-    engine state plus the already-retired results land in a
-    :class:`~repro.runtime.checkpoint.CheckpointStore`.  On entry the
-    newest readable snapshot is restored — networks for still-live rows
-    are rebuilt from their (graph, clamps, seed) descriptors and
-    overwritten with the snapshot state, so the continued trajectory is
-    bit-identical to the uninterrupted run's.
-    """
-    import os
-
-    from ..runtime.checkpoint import CheckpointError, CheckpointStore, FaultPlan
-    from ..runtime.slots import OneShotPolicy, SlotEngine, SlotRow
-
-    if max_steps <= 0:
-        return [_empty_result(graph, clamps) for graph, clamps in instances]
-
-    every = int(checkpoint_every) if checkpoint_every is not None else 10 * int(check_interval)
-    if every <= 0:
-        raise ValueError("checkpoint_every must be positive")
-    fingerprint = _solve_fingerprint(instances, seeds, config, backend, max_steps, check_interval)
-    store = CheckpointStore(checkpoint_dir, kind="csp-solve", fault=fault)
-
-    engine = SlotEngine(
-        decoder=CSP_SLOT_DECODER,
-        window=max(1, config.decode_window),
-        check_interval=check_interval,
-        extendable=False,
-    )
-    policy = OneShotPolicy([])
-    completed: Dict[int, CSPSolveResult] = {}
-
-    latest = store.load_latest()
-    if latest is not None:
-        _, payload = latest
-        if payload.get("fingerprint") != fingerprint:
-            raise CheckpointError(
-                f"checkpoint in {os.fspath(checkpoint_dir)} belongs to a different solve "
-                "(instances, seeds, config, backend or budgets changed)"
-            )
-        completed = dict(payload["completed"])
-        row_states = payload["engine"]["rows"]
-        networks = [build_entry(int(rs["payload"])).network for rs in row_states]
-        engine.restore_state(payload["engine"], networks)
-    else:
-        admissions = []
-        for index in range(len(instances)):
-            entry = build_entry(index)
-            admissions.append(
-                (
-                    SlotRow(
-                        graph=entry.graph, clamps=entry.clamps, budget=max_steps, payload=index
-                    ),
-                    entry.network,
-                )
-            )
-        engine.recompose([], admissions)
-
-    def drain_outcomes() -> None:
-        updates_per_step = engine.updates_per_step or 0
-        while policy.outcomes:
-            outcome = policy.outcomes.pop()
-            completed[int(outcome.row.payload)] = CSPSolveResult(
-                solved=outcome.decode.solved,
-                steps=outcome.local_steps,
-                values=outcome.decode.values,
-                decided=outcome.decode.decided,
-                total_spikes=outcome.spikes,
-                neuron_updates=outcome.local_steps * updates_per_step,
-                attempts=1,
-                attempt_steps=(outcome.local_steps,),
-            )
-
-    def save() -> None:
-        store.save(
-            engine.global_step,
-            {
-                "fingerprint": fingerprint,
-                "engine": engine.export_state(),
-                "completed": dict(completed),
-            },
-        )
-
-    while engine.rows and engine.global_step < max_steps:
-        checkpoint = engine.step()
-        if checkpoint is not None:
-            decision = policy.on_checkpoint(checkpoint)
-            engine.recompose(decision.keep, decision.admissions)
-            drain_outcomes()
-        if engine.global_step % every == 0:
-            save()
-        if fault is not None and fault.should_crash(engine.global_step):
-            os._exit(FaultPlan.CRASH_EXIT_CODE)
-    drain_outcomes()
-    save()
-
-    return [
-        completed[i] if i in completed else _empty_result(graph, clamps)
-        for i, (graph, clamps) in enumerate(instances)
-    ]
+def _one_shot_snapshot(engine: "SlotEngine", policy: "OneShotPolicy") -> dict:
+    """A one-shot solve's snapshot: the engine plus the rows retired so far."""
+    return {"engine": engine.export_state(), "outcomes": list(policy.outcomes)}
 
 
 def _empty_decode(graph: ConstraintGraph, clamps: ClampsLike) -> Tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,10 @@ This package makes *batches* of independent simulations the unit of work
     request and a fingerprint of the ``repro`` sources).
 :mod:`repro.runtime.checkpoint`
     Crash-safe snapshots: versioned, checksummed, atomically written
-    checkpoint files plus a pruning :class:`CheckpointStore` and the
-    deterministic :class:`FaultPlan` used by the chaos suites; paired
+    checkpoint files, a pruning :class:`CheckpointStore`, the
+    :class:`Checkpointer` that gives a :class:`SlotEngine` run its
+    snapshot cadence, restore and crash hook, and the deterministic
+    :class:`FaultPlan` used by the chaos suites; paired
     with the ``export_state``/``restore_state`` hooks on
     :class:`BatchedNetwork`, the compiled drives and :class:`SlotEngine`
     so a restored solve continues bit-identically.
@@ -44,12 +46,11 @@ This package makes *batches* of independent simulations the unit of work
     function cannot be pickled).
 :mod:`repro.runtime.workloads`
     Sweep drivers for the paper's workloads: batched 80-20 seed sweeps
-    plus pooled Sudoku and constraint-solver (``repro.csp``) solve-rate
-    sweeps.
+    plus four pooled/batched solve-rate and load sweeps, each taking its
+    frozen config dataclass and returning a :class:`SweepReport`.
 :mod:`repro.runtime.registry`
-    The typed workload registry: ``run_sweep_workload(name, config)``
-    resolves the four pooled/batched sweep drivers behind one
-    ``name -> typed config -> SweepReport`` entry point.
+    ``run_sweep_workload(name, config)`` runs those four drivers by
+    name.
 """
 
 from .backends import (
@@ -68,6 +69,7 @@ from .checkpoint import (
     CheckpointCorruptError,
     CheckpointError,
     CheckpointStore,
+    Checkpointer,
     CheckpointVersionError,
     FaultPlan,
     read_checkpoint,
@@ -103,7 +105,11 @@ from .sweep import (
     sweep_task_key,
 )
 from .workloads import (
+    CSPPortfolioSweepConfig,
+    PooledCSPSweepConfig,
+    PooledSudokuSweepConfig,
     SeedSweepResult,
+    ServeLoadSweepConfig,
     batched_thalamic_provider,
     build_eighty_twenty_replicas,
     csp_portfolio_sweep,
@@ -113,17 +119,7 @@ from .workloads import (
     run_many_on_backend,
     serve_load_sweep,
 )
-from .registry import (
-    CSPPortfolioSweepConfig,
-    PooledCSPSweepConfig,
-    PooledSudokuSweepConfig,
-    ServeLoadSweepConfig,
-    WorkloadEntry,
-    register_sweep_workload,
-    run_sweep_workload,
-    sweep_workload_config,
-    sweep_workloads,
-)
+from .registry import run_sweep_workload, sweep_workloads
 
 __all__ = [
     "RunRequest",
@@ -142,6 +138,7 @@ __all__ = [
     "CheckpointCorruptError",
     "CheckpointError",
     "CheckpointStore",
+    "Checkpointer",
     "CheckpointVersionError",
     "FaultPlan",
     "read_checkpoint",
@@ -182,9 +179,6 @@ __all__ = [
     "PooledCSPSweepConfig",
     "PooledSudokuSweepConfig",
     "ServeLoadSweepConfig",
-    "WorkloadEntry",
-    "register_sweep_workload",
     "run_sweep_workload",
-    "sweep_workload_config",
     "sweep_workloads",
 ]

@@ -18,6 +18,12 @@ always-hot batch of the serve tier, or a large ``solve_instances`` call
 * typed failures — :class:`CheckpointCorruptError` (bad magic,
   truncation, checksum mismatch) and :class:`CheckpointVersionError`
   (format from a different code era) are loud, never silent ``None``;
+* :class:`Checkpointer` — the crash-safety policy of one
+  :class:`~repro.runtime.slots.SlotEngine` run: snapshot cadence, final
+  save, restore of the live rows and the injected crash.  The one-shot
+  solver (:func:`repro.csp.solver.solve_instances`) and the serve
+  scheduler (:class:`repro.serve.SolveService`) both hand one to the
+  engine's step loop (:meth:`~repro.runtime.slots.SlotEngine.advance`);
 * :class:`FaultPlan` — a deterministic fault-injection schedule (crash
   at a step, tear the Nth checkpoint write, corrupt the Nth payload,
   truncate the journal after the Nth record) threaded through the
@@ -43,7 +49,7 @@ import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -51,6 +57,7 @@ __all__ = [
     "CheckpointCorruptError",
     "CheckpointError",
     "CheckpointStore",
+    "Checkpointer",
     "CheckpointVersionError",
     "FaultPlan",
     "read_checkpoint",
@@ -98,12 +105,12 @@ class FaultPlan:
     schedule (checkpoint store, journal, service).  ``seed`` picks the
     corrupted byte position, keeping runs reproducible.
 
-    ``crash_at_step`` is honoured by the serve scheduler
-    (:meth:`repro.serve.SolveService._advance_step`): the process calls
-    ``os._exit`` — indistinguishable from ``kill -9`` — the first time
-    the global step clock reaches the value.  The supervisor hands the
-    plan only to the *first* child incarnation, so a respawned service
-    replays the journal instead of re-crashing forever.
+    ``crash_at_step`` is honoured by :class:`Checkpointer` after every
+    engine step: the process calls ``os._exit`` — indistinguishable
+    from ``kill -9`` — the first time the global step clock reaches the
+    value.  The supervisor hands the plan only to the *first* child
+    incarnation, so a respawned service replays the journal instead of
+    re-crashing forever.
     """
 
     crash_at_step: Optional[int] = None
@@ -335,3 +342,83 @@ class CheckpointStore:
                 self._path(step).unlink()
             except OSError:  # pragma: no cover - concurrent clear
                 pass
+
+
+class Checkpointer:
+    """The crash-safety policy of one slot-engine run.
+
+    :meth:`SlotEngine.advance <repro.runtime.slots.SlotEngine.advance>`
+    calls :meth:`after_step` once per global step: every ``every``
+    steps (default ``10 * check_interval``) the ``snapshot`` of the
+    engine goes to ``store``, and then, if the :class:`FaultPlan`'s
+    crash step has come, the process dies.  :meth:`SlotEngine.run
+    <repro.runtime.slots.SlotEngine.run>` adds one :meth:`save` at
+    completion.  With ``store=None`` nothing is written but the crash
+    hook still fires (the serve tier's journal-only chaos runs).
+
+    ``snapshot(engine, policy)`` returns the payload dict; its
+    ``"engine"`` entry must be :meth:`SlotEngine.export_state`'s, the
+    rest is the owner's (retired outcomes, say).  ``identity`` binds
+    the snapshots to one run: :meth:`restore` refuses a directory
+    written under a different identity.
+    """
+
+    def __init__(
+        self,
+        store: Optional[CheckpointStore],
+        *,
+        check_interval: int,
+        every: Optional[int] = None,
+        fault: Optional[FaultPlan] = None,
+        identity: Optional[str] = None,
+        snapshot: Callable[[Any, Any], dict],
+    ) -> None:
+        self.every = 10 * int(check_interval) if every is None else int(every)
+        if self.every < 1:
+            raise ValueError("checkpoint_every must be positive")
+        self.store = store
+        self.fault = fault
+        self.identity = identity
+        self._snapshot = snapshot
+
+    def after_step(self, engine: Any, policy: Any) -> None:
+        """The per-step hook: periodic snapshot, then the injected crash."""
+        step = engine.global_step
+        if self.store is not None and step % self.every == 0:
+            self.save(engine, policy)
+        if self.fault is not None and self.fault.should_crash(step):
+            os._exit(FaultPlan.CRASH_EXIT_CODE)
+
+    def save(self, engine: Any, policy: Any) -> None:
+        """Write one snapshot stamped with the engine's global step."""
+        if self.store is None:
+            return
+        payload = self._snapshot(engine, policy)
+        payload["identity"] = self.identity
+        self.store.save(engine.global_step, payload)
+
+    def restore(self, engine: Any, rebuild: Callable[[Any], Tuple[Any, Any]]) -> Optional[dict]:
+        """Restore the newest readable snapshot into ``engine``.
+
+        ``rebuild(token)`` turns a row's stored payload into the live
+        ``(payload, network)`` pair: the network is built fresh from
+        the row's (graph, clamps, seed) and then overwritten with the
+        snapshot state, so the restored run continues bit-identically.
+        Returns the snapshot payload, or ``None`` when there is nothing
+        to restore.
+        """
+        if self.store is None:
+            return None
+        latest = self.store.load_latest()
+        if latest is None:
+            return None
+        _, payload = latest
+        if payload.get("identity") != self.identity:
+            raise CheckpointError(
+                f"checkpoint in {os.fspath(self.store.root)} belongs to a different solve"
+            )
+        revived = [rebuild(row["payload"]) for row in payload["engine"]["rows"]]
+        engine.restore_state(payload["engine"], [network for _, network in revived])
+        for row, (live_payload, _) in zip(engine.rows, revived):
+            row.payload = live_payload
+        return payload

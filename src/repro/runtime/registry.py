@@ -1,10 +1,8 @@
-"""Typed sweep-workload registry: ``name -> config -> SweepReport``.
+"""Sweep workloads by name: ``name -> (config type, driver)``.
 
 The four pooled/batched sweep drivers in :mod:`repro.runtime.workloads`
-(`pooled_sudoku_sweep`, `pooled_csp_sweep`, `csp_portfolio_sweep`,
-`serve_load_sweep`) historically had to be imported ad hoc, each with
-its own keyword plumbing.  This module registers them behind one entry
-point consumed by the harness and the benchmarks::
+share one shape, ``driver(config, *, executor, cache) -> SweepReport``;
+this module names them for the harness, the benchmarks and scripts::
 
     from repro.runtime import run_sweep_workload
 
@@ -12,164 +10,45 @@ point consumed by the harness and the benchmarks::
                                 scenario_params={"n": 4})
     print(report.summary["solve_rate"], report.worker_utilisation())
 
-Every workload declares a frozen **config dataclass** (defaults match
-the underlying driver), so configurations are typed, introspectable and
-hashable-by-content; unknown overrides fail at construction instead of
-silently disappearing into ``**kwargs``.  Every invocation returns a
-:class:`~repro.runtime.sweep.SweepReport` whose ``summary`` field holds
-the driver's classic summary dict — fabric-executed workloads carry real
-per-task timing/steal/lease counters, while batched/served workloads
-(which run on the slot engine, not the fabric) get a synthesized report
-with one record per instance.
+Configurations are the drivers' frozen config dataclasses, so unknown
+overrides fail at construction instead of silently disappearing into
+``**kwargs``.  Fabric-executed workloads (``pooled-sudoku``,
+``pooled-csp``) report real per-task timing/steal/lease counters;
+batched and served workloads (``csp-portfolio``, ``serve-load``) run on
+the slot engine and report one record per instance.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from .cache import RunResultCache, resolve_cache
-from .sweep import SweepExecutor, SweepReport, SweepTaskRecord, derive_task_seed
-from . import workloads as _workloads
+from .sweep import SweepExecutor, SweepReport
+from .workloads import (
+    CachePolicy,
+    CSPPortfolioSweepConfig,
+    PooledCSPSweepConfig,
+    PooledSudokuSweepConfig,
+    ServeLoadSweepConfig,
+    csp_portfolio_sweep,
+    pooled_csp_sweep,
+    pooled_sudoku_sweep,
+    serve_load_sweep,
+)
 
-__all__ = [
-    "CSPPortfolioSweepConfig",
-    "PooledCSPSweepConfig",
-    "PooledSudokuSweepConfig",
-    "ServeLoadSweepConfig",
-    "WorkloadEntry",
-    "register_sweep_workload",
-    "run_sweep_workload",
-    "sweep_workload_config",
-    "sweep_workloads",
-]
+__all__ = ["run_sweep_workload", "sweep_workloads"]
 
-
-# ---------------------------------------------------------------------- #
-# Typed configurations (defaults mirror the underlying drivers)
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class PooledSudokuSweepConfig:
-    """Configuration of the ``pooled-sudoku`` fabric workload."""
-
-    count: int = 8
-    base_seed: int = 1000
-    target_clues: int = 30
-    max_steps: int = 6000
-    check_interval: int = 10
-    solver_seed: int = 7
-    mix_seeds: bool = True
-    chunk_size: Optional[int] = None
-    lease_timeout: float = 60.0
-
-
-@dataclass(frozen=True)
-class PooledCSPSweepConfig:
-    """Configuration of the ``pooled-csp`` fabric workload."""
-
-    scenario: str = "coloring"
-    count: int = 8
-    base_seed: int = 0
-    solver_seed: int = 7
-    backend: str = "fixed"
-    max_steps: int = 3000
-    check_interval: int = 10
-    scenario_params: Mapping[str, Any] = field(default_factory=dict)
-    chunk_size: Optional[int] = None
-    lease_timeout: float = 60.0
-
-
-@dataclass(frozen=True)
-class CSPPortfolioSweepConfig:
-    """Configuration of the ``csp-portfolio`` batched workload."""
-
-    scenario: str = "coloring"
-    count: int = 8
-    base_seed: int = 0
-    backend: str = "fixed"
-    max_steps: int = 3000
-    check_interval: int = 10
-    slots: Optional[int] = None
-    scenario_params: Mapping[str, Any] = field(default_factory=dict)
-    #: Optional ``repro.csp.PortfolioConfig`` / ``CSPConfig`` objects.
-    portfolio: Any = None
-    config: Any = None
-
-
-@dataclass(frozen=True)
-class ServeLoadSweepConfig:
-    """Configuration of the ``serve-load`` open-loop service workload."""
-
-    capacity: int = 32
-    queue_limit: Optional[int] = None
-    num_clients: int = 8
-    requests_per_client: int = 8
-    mean_interarrival_steps: float = 40.0
-    scenario: str = "coloring"
-    scenario_params: Mapping[str, Any] = field(default_factory=dict)
-    unique_instances: int = 24
-    seed: int = 0
-    max_steps: int = 1500
-    deadline: Optional[float] = None
-    backend: str = "fixed"
-    check_interval: int = 10
-    #: Optional ``repro.csp.CSPConfig`` for the served solves.
-    config: Any = None
-
-
-CachePolicy = Union[None, bool, str, Path, RunResultCache]
-Runner = Callable[[Any, Optional[SweepExecutor], CachePolicy], SweepReport]
-
-
-@dataclass(frozen=True)
-class WorkloadEntry:
-    """One registered sweep workload."""
-
-    name: str
-    config_type: Type[Any]
-    runner: Runner
-    description: str
-
-
-_REGISTRY: Dict[str, WorkloadEntry] = {}
-
-
-def register_sweep_workload(
-    name: str,
-    config_type: Type[Any],
-    runner: Runner,
-    description: str,
-    *,
-    replace: bool = False,
-) -> WorkloadEntry:
-    """Register a workload under ``name`` (same idiom as the backend registry)."""
-    if name in _REGISTRY and not replace:
-        raise ValueError(f"sweep workload {name!r} is already registered")
-    entry = WorkloadEntry(name, config_type, runner, description)
-    _REGISTRY[name] = entry
-    return entry
+_WORKLOADS: Dict[str, Tuple[Type[Any], Callable[..., SweepReport]]] = {
+    "pooled-sudoku": (PooledSudokuSweepConfig, pooled_sudoku_sweep),
+    "pooled-csp": (PooledCSPSweepConfig, pooled_csp_sweep),
+    "csp-portfolio": (CSPPortfolioSweepConfig, csp_portfolio_sweep),
+    "serve-load": (ServeLoadSweepConfig, serve_load_sweep),
+}
 
 
 def sweep_workloads() -> List[str]:
-    """Sorted names of all registered sweep workloads."""
-    return sorted(_REGISTRY)
-
-
-def sweep_workload_config(name: str, **overrides: Any) -> Any:
-    """Build the typed config of workload ``name`` (unknown keys raise)."""
-    entry = _entry(name)
-    return entry.config_type(**overrides)
-
-
-def _entry(name: str) -> WorkloadEntry:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sweep_workloads())
-        raise KeyError(f"unknown sweep workload {name!r}; registered: {known}") from None
+    """Sorted names of the sweep workloads."""
+    return sorted(_WORKLOADS)
 
 
 def run_sweep_workload(
@@ -180,178 +59,26 @@ def run_sweep_workload(
     cache: CachePolicy = False,
     **overrides: Any,
 ) -> SweepReport:
-    """Run the registered workload ``name`` and return its :class:`SweepReport`.
+    """Run the workload ``name`` and return its :class:`SweepReport`.
 
-    ``config`` is the workload's typed config dataclass (or ``None`` for
-    the defaults); keyword ``overrides`` are applied on top via
+    ``config`` is the workload's config dataclass (or ``None`` for the
+    defaults); keyword ``overrides`` are applied on top via
     :func:`dataclasses.replace`, so a typo'd parameter fails loudly.
     ``executor`` selects serial vs fabric execution for the pooled
     workloads (batched/served workloads run on the slot engine and
     ignore it); ``cache`` is the resume/dedup store policy.
     """
-    entry = _entry(name)
+    try:
+        config_type, driver = _WORKLOADS[name]
+    except KeyError:
+        known = ", ".join(sweep_workloads())
+        raise KeyError(f"unknown sweep workload {name!r}; registered: {known}") from None
     if config is None:
-        config = entry.config_type(**overrides)
-    else:
-        if not isinstance(config, entry.config_type):
-            raise TypeError(
-                f"workload {name!r} expects a {entry.config_type.__name__}, "
-                f"got {type(config).__name__}"
-            )
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
-    return entry.runner(config, executor, cache)
-
-
-def _synthesize_report(
-    mode: str,
-    summary: Mapping[str, Any],
-    results: List[Any],
-    seeds: List[int],
-    elapsed: float,
-) -> SweepReport:
-    """Wrap a slot-engine workload's summary in the uniform report shape."""
-    records = [
-        SweepTaskRecord(index=i, seed=seed, worker=-1, duration=0.0, cached=False, attempts=1)
-        for i, seed in enumerate(seeds)
-    ]
-    return SweepReport(
-        results=results,
-        records=records,
-        mode=mode,
-        num_workers=1,
-        elapsed=elapsed,
-        summary=summary,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Built-in workloads
-# ---------------------------------------------------------------------- #
-def _run_pooled_sudoku(
-    config: PooledSudokuSweepConfig,
-    executor: Optional[SweepExecutor],
-    cache: CachePolicy,
-) -> SweepReport:
-    return _workloads.pooled_sudoku_sweep(
-        config.count,
-        base_seed=config.base_seed,
-        target_clues=config.target_clues,
-        max_steps=config.max_steps,
-        check_interval=config.check_interval,
-        solver_seed=config.solver_seed,
-        mix_seeds=config.mix_seeds,
-        executor=executor,
-        cache=cache,
-        chunk_size=config.chunk_size,
-        lease_timeout=config.lease_timeout,
-        return_report=True,
-    )
-
-
-def _run_pooled_csp(
-    config: PooledCSPSweepConfig,
-    executor: Optional[SweepExecutor],
-    cache: CachePolicy,
-) -> SweepReport:
-    return _workloads.pooled_csp_sweep(
-        config.scenario,
-        config.count,
-        base_seed=config.base_seed,
-        solver_seed=config.solver_seed,
-        backend=config.backend,
-        max_steps=config.max_steps,
-        check_interval=config.check_interval,
-        scenario_params=dict(config.scenario_params),
-        executor=executor,
-        cache=cache,
-        chunk_size=config.chunk_size,
-        lease_timeout=config.lease_timeout,
-        return_report=True,
-    )
-
-
-def _run_csp_portfolio(
-    config: CSPPortfolioSweepConfig,
-    executor: Optional[SweepExecutor],
-    cache: CachePolicy,
-) -> SweepReport:
-    started = time.perf_counter()
-    summary = _workloads.csp_portfolio_sweep(
-        config.scenario,
-        config.count,
-        base_seed=config.base_seed,
-        portfolio=config.portfolio,
-        config=config.config,
-        backend=config.backend,
-        max_steps=config.max_steps,
-        check_interval=config.check_interval,
-        slots=config.slots,
-        scenario_params=dict(config.scenario_params),
-    )
-    return _synthesize_report(
-        "batched",
-        summary,
-        list(summary["results"]),
-        # reprolint: disable-next-line=RL002 -- record labels mirror the instance seeds
-        [config.base_seed + i for i in range(config.count)],
-        time.perf_counter() - started,
-    )
-
-
-def _run_serve_load(
-    config: ServeLoadSweepConfig,
-    executor: Optional[SweepExecutor],
-    cache: CachePolicy,
-) -> SweepReport:
-    started = time.perf_counter()
-    summary = _workloads.serve_load_sweep(
-        capacity=config.capacity,
-        queue_limit=config.queue_limit,
-        num_clients=config.num_clients,
-        requests_per_client=config.requests_per_client,
-        mean_interarrival_steps=config.mean_interarrival_steps,
-        scenario=config.scenario,
-        scenario_params=dict(config.scenario_params),
-        unique_instances=config.unique_instances,
-        seed=config.seed,
-        max_steps=config.max_steps,
-        deadline=config.deadline,
-        config=config.config,
-        backend=config.backend,
-        check_interval=config.check_interval,
-        cache=resolve_cache(cache),
-    )
-    return _synthesize_report(
-        "serve",
-        summary,
-        list(summary["rows"]),
-        [derive_task_seed(config.seed, i) for i in range(len(summary["rows"]))],
-        time.perf_counter() - started,
-    )
-
-
-register_sweep_workload(
-    "pooled-sudoku",
-    PooledSudokuSweepConfig,
-    _run_pooled_sudoku,
-    "one SNN Sudoku solver run per generated puzzle, over the sweep fabric",
-)
-register_sweep_workload(
-    "pooled-csp",
-    PooledCSPSweepConfig,
-    _run_pooled_csp,
-    "one spiking CSP solver run per generated instance, over the sweep fabric",
-)
-register_sweep_workload(
-    "csp-portfolio",
-    CSPPortfolioSweepConfig,
-    _run_csp_portfolio,
-    "restart-portfolio pool solve on one saturated exact-mode batch",
-)
-register_sweep_workload(
-    "serve-load",
-    ServeLoadSweepConfig,
-    _run_serve_load,
-    "seeded open-loop client load through the continuous-batching solve service",
-)
+        config = config_type(**overrides)
+    elif not isinstance(config, config_type):
+        raise TypeError(
+            f"workload {name!r} expects a {config_type.__name__}, got {type(config).__name__}"
+        )
+    elif overrides:
+        config = dataclasses.replace(config, **overrides)
+    return driver(config, executor=executor, cache=cache)

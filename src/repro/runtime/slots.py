@@ -34,6 +34,12 @@ The engine's invariants (every consumer inherits them):
   the check interval or their local budget — the union mask over rows
   decides when a checkpoint fires, so mixed-offset batches check each
   row on its own standalone schedule.
+* **One step loop.**  :meth:`SlotEngine.advance` is the loop body —
+  step, policy decision, recomposition, then the crash-safety hook of an
+  optional :class:`~repro.runtime.checkpoint.Checkpointer` (periodic
+  snapshot, injected crash).  :meth:`SlotEngine.run` loops over it and
+  the serve scheduler calls it step by step; nothing else steps an
+  engine.
 * **Zero-step runs.**  ``max_steps <= 0`` never allocates a batch; the
   canonical zero-step window (:meth:`SlotEngine.empty_window`) decodes
   clamps only, identically across the solver, portfolio and serve
@@ -49,12 +55,15 @@ below ``repro.csp`` in the layering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from .batch import BatchedNetwork
 from .drives import PortfolioAnnealedDrive, annealed_specs, compile_batched_external
+
+if TYPE_CHECKING:
+    from .checkpoint import Checkpointer
 
 __all__ = [
     "OneShotPolicy",
@@ -146,8 +155,9 @@ class SlotPolicy(Protocol):
 
     The engine owns the mechanics (stepping, windows, recomposition);
     the policy owns the decisions (retire / admit / stop).  Incremental
-    consumers (the serve scheduler) skip :meth:`initial_admissions` and
-    feed checkpoints to :meth:`on_checkpoint` themselves.
+    consumers (the serve scheduler) skip :meth:`initial_admissions`,
+    admit rows themselves and call :meth:`SlotEngine.advance` once per
+    step.
     """
 
     def initial_admissions(self, engine: "SlotEngine") -> List[SlotAdmission]:
@@ -172,14 +182,6 @@ class SlotCheckpoint:
     at_check: np.ndarray
     #: Rows whose local budget is exhausted.
     at_budget: np.ndarray
-
-    @property
-    def rows(self) -> List[SlotRow]:
-        return self.engine.rows
-
-    def decode(self, row: int) -> SlotDecode:
-        """Decode one row's current window (see :meth:`SlotEngine.decode_row`)."""
-        return self.engine.decode_row(row)
 
 
 class SlotEngine:
@@ -576,29 +578,56 @@ class SlotEngine:
             engine=self, step=self._step, local=local, at_check=at_check, at_budget=at_budget
         )
 
-    def run(self, policy: SlotPolicy, *, max_steps: int) -> None:
+    def advance(self, policy: SlotPolicy, checkpointer: Optional["Checkpointer"] = None) -> bool:
+        """One pass of the step loop: step, decide, recompose, checkpoint.
+
+        Steps every live row, hands a decode checkpoint (if any) to
+        ``policy`` and applies its decision, then gives ``checkpointer``
+        its per-step hook (periodic snapshot, injected crash).  Returns
+        the decision's ``stop`` flag.  :meth:`run` loops over this; the
+        serve scheduler calls it once per scheduler step.
+        """
+        checkpoint = self.step()
+        stop = False
+        if checkpoint is not None:
+            decision = policy.on_checkpoint(checkpoint)
+            self.recompose(decision.keep, decision.admissions)
+            stop = decision.stop
+        if checkpointer is not None:
+            checkpointer.after_step(self, policy)
+        return stop
+
+    def run(
+        self,
+        policy: SlotPolicy,
+        *,
+        max_steps: int,
+        checkpointer: Optional["Checkpointer"] = None,
+    ) -> None:
         """Closed-loop drive: admit the policy's first wave, step to done.
 
         The loop ends when every row has retired, the global step budget
         is exhausted, or the policy's decision says ``stop``.  Rows
         still live at exit are *not* decoded — callers snapshot them
-        through :meth:`decode_row` / :meth:`local_steps` (the trailing
-        decode each engine historically performed).  ``max_steps <= 0``
+        through :meth:`decode_row` / :meth:`local_steps`.  ``max_steps <= 0``
         returns immediately without admitting anything — the zero-step
         guard, centralised: no batch is ever allocated and callers
         decode the canonical :meth:`empty_window`.
+
+        With a ``checkpointer`` every step goes through its hook and
+        one final snapshot is written when the loop ends.  A run resumed
+        with :meth:`Checkpointer.restore
+        <repro.runtime.checkpoint.Checkpointer.restore>` passes a
+        policy whose first wave is empty.
         """
         if max_steps <= 0:
             return
-        self.recompose(list(range(len(self._rows))), policy.initial_admissions(self))
+        self.admit(policy.initial_admissions(self))
         while self._rows and self._step < max_steps:
-            checkpoint = self.step()
-            if checkpoint is None:
-                continue
-            decision = policy.on_checkpoint(checkpoint)
-            self.recompose(decision.keep, decision.admissions)
-            if decision.stop:
+            if self.advance(policy, checkpointer):
                 break
+        if checkpointer is not None:
+            checkpointer.save(self, policy)
 
 
 class OneShotPolicy:

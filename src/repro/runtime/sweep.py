@@ -204,8 +204,7 @@ class SweepTaskRecord:
 class SweepReport:
     """Results plus scheduling/caching accounting of one executed sweep.
 
-    ``results`` is in task order — the exact list the deprecated
-    :meth:`SweepExecutor.run` used to return.  The counters expose the
+    ``results`` is in task order.  The counters expose the
     fabric's behaviour: ``steals`` (chunks pulled by a worker other than
     its round-robin owner), ``lease_expiries`` / ``worker_deaths`` (both
     re-enqueue unfinished leases; their sum is the lease-retry count),
@@ -228,8 +227,8 @@ class SweepReport:
     duplicates: int = 0
     pickle_fallback: bool = False
     worker_busy: Dict[int, float] = field(default_factory=dict)
-    #: Workload-level summary attached by the registry entry point
-    #: (:func:`repro.runtime.registry.run_sweep_workload`).
+    #: Workload-level summary attached by the sweep drivers of
+    #: :mod:`repro.runtime.workloads`.
     summary: Optional[Mapping[str, Any]] = None
 
     @property
@@ -481,46 +480,6 @@ class SweepExecutor:
             report.pickle_fallback = True
             return report
         return self._execute_fabric(spec, tasks, cache)
-
-    # ------------------------------------------------------------------ #
-    # Deprecated wrappers (pre-SweepSpec API)
-    # ------------------------------------------------------------------ #
-    def run(
-        self,
-        fn: Callable[[SweepTask], Any],
-        param_sets: Sequence[Mapping[str, Any]],
-        *,
-        base_seed: int = 0,
-    ) -> List[Any]:
-        """Deprecated: use :meth:`execute` with a :class:`SweepSpec`."""
-        warnings.warn(
-            "SweepExecutor.run(fn, param_sets) is deprecated; use "
-            "SweepExecutor.execute(SweepSpec(fn=fn, param_sets=param_sets, ...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(SweepSpec(fn=fn, param_sets=param_sets, base_seed=base_seed)).results
-
-    def map_seeds(
-        self,
-        fn: Callable[[SweepTask], Any],
-        seeds: Sequence[int],
-        *,
-        extra: Optional[Mapping[str, Any]] = None,
-    ) -> List[Any]:
-        """Deprecated: use :meth:`execute` with ``SweepSpec(seeds=...)``.
-
-        Note the historical inconsistency is fixed: the seed now lives
-        only in ``task.seed``, no longer duplicated into
-        ``task.params["seed"]``.
-        """
-        warnings.warn(
-            "SweepExecutor.map_seeds(fn, seeds) is deprecated; use "
-            "SweepExecutor.execute(SweepSpec(fn=fn, seeds=seeds, extra=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(SweepSpec(fn=fn, seeds=seeds, extra=dict(extra or {}))).results
 
     # ------------------------------------------------------------------ #
     # Serial execution (also the pickle fallback and the last-resort drain)

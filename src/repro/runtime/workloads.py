@@ -14,17 +14,21 @@ Two sweep families cover the paper's evaluation workloads:
   (The vectorised alternative, which runs all puzzles as one batched
   network, is :meth:`repro.sudoku.solver.SNNSudokuSolver.solve_batch`.)
 
-All four pooled/batched sweep drivers here (``pooled_sudoku_sweep``,
-``pooled_csp_sweep``, ``csp_portfolio_sweep``, ``serve_load_sweep``) are
-also registered in :mod:`repro.runtime.registry` behind one typed
-``name -> config -> SweepReport`` entry point.
+The four pooled/batched sweep drivers here (``pooled_sudoku_sweep``,
+``pooled_csp_sweep``, ``csp_portfolio_sweep``, ``serve_load_sweep``)
+share one shape: ``driver(config, *, executor=None, cache=False) ->
+SweepReport``, where ``config`` is the driver's frozen config dataclass
+(defined next to it) and the report's ``summary`` holds the workload's
+summary dict.  :mod:`repro.runtime.registry` names them for
+:func:`~repro.runtime.registry.run_sweep_workload`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,12 +37,23 @@ from ..snn.eighty_twenty import EightyTwentyConfig
 from ..snn.network import SNNNetwork
 from .batch import BatchedNetwork
 from .backends import RunRequest, RunResult, eighty_twenty_config, get_backend, run_on_backend
-from .cache import RunResultCache
+from .cache import RunResultCache, resolve_cache
 from .drives import compile_batched_external
-from .sweep import SweepExecutor, SweepReport, SweepSpec, SweepTask, derive_task_seed
+from .sweep import (
+    SweepExecutor,
+    SweepReport,
+    SweepSpec,
+    SweepTask,
+    SweepTaskRecord,
+    derive_task_seed,
+)
 
 __all__ = [
+    "CSPPortfolioSweepConfig",
+    "PooledCSPSweepConfig",
+    "PooledSudokuSweepConfig",
     "SeedSweepResult",
+    "ServeLoadSweepConfig",
     "build_eighty_twenty_replicas",
     "batched_thalamic_provider",
     "csp_portfolio_sweep",
@@ -234,9 +249,46 @@ def run_many_on_backend(
     return executor.execute(spec).results
 
 
+CachePolicy = Union[None, bool, str, Path, RunResultCache]
+
+
+def _engine_report(
+    mode: str, summary: Dict[str, Any], results: List[Any], seeds: List[int], started: float
+) -> SweepReport:
+    """Wrap a slot-engine workload's summary in the fabric's report shape."""
+    # reprolint: disable-next-line=RL002 -- report timing, never solve state
+    elapsed = time.perf_counter() - started
+    records = [
+        SweepTaskRecord(index=i, seed=seed, worker=-1, duration=0.0, cached=False, attempts=1)
+        for i, seed in enumerate(seeds)
+    ]
+    return SweepReport(
+        results=results,
+        records=records,
+        mode=mode,
+        num_workers=1,
+        elapsed=elapsed,
+        summary=summary,
+    )
+
+
 # ---------------------------------------------------------------------- #
 # Pooled Sudoku sweep (process-parallel, one solver run per puzzle)
 # ---------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class PooledSudokuSweepConfig:
+    """Configuration of the ``pooled-sudoku`` fabric workload."""
+
+    count: int = 8
+    base_seed: int = 1000
+    target_clues: int = 30
+    max_steps: int = 6000
+    check_interval: int = 10
+    solver_seed: int = 7
+    chunk_size: Optional[int] = None
+    lease_timeout: float = 60.0
+
+
 def _solve_one_sudoku(task: SweepTask) -> Dict[str, Any]:
     """Module-level task function (picklable for the process pool)."""
     from ..sudoku import SNNSudokuSolver
@@ -262,79 +314,76 @@ def _solve_one_sudoku(task: SweepTask) -> Dict[str, Any]:
 
 
 def pooled_sudoku_sweep(
-    count: int,
+    config: PooledSudokuSweepConfig,
     *,
-    base_seed: int = 1000,
-    target_clues: int = 30,
-    max_steps: int = 6000,
-    check_interval: int = 10,
-    solver_seed: int = 7,
-    mix_seeds: bool = True,
     executor: Optional[SweepExecutor] = None,
-    cache: Union[None, bool, str, Path, RunResultCache] = False,
-    chunk_size: Optional[int] = None,
-    lease_timeout: float = 60.0,
-    return_report: bool = False,
-) -> Union[Dict[str, Any], SweepReport]:
-    """Solve ``count`` generated puzzles, optionally over the sweep fabric.
+    cache: CachePolicy = False,
+) -> SweepReport:
+    """Solve ``config.count`` generated puzzles, optionally over the sweep fabric.
 
-    With ``mix_seeds`` (the default) each task derives its puzzle seed
-    from ``(base_seed, index)`` through :func:`~repro.runtime.sweep.derive_task_seed`
-    ``SeedSequence`` spawning — the well-mixed scheme
-    :mod:`repro.runtime.sweep` recommends.  ``mix_seeds=False`` restores
-    the legacy ``base_seed + index`` scheme (the correlated-seed pattern
-    the sweep module's docstring warns against, kept only to reproduce
-    historical tables; it also matches
-    :func:`repro.sudoku.puzzles.generate_puzzle_set`).  Either way
-    results are deterministic and identical between serial and process
-    execution.  ``solver_seed`` selects the solver's exploration-noise
-    stream for every task (it used to be hard-wired to the solver
-    default, making noise-seed sensitivity studies impossible through
-    this entry point).
+    Each task derives its puzzle seed from ``(base_seed, index)``
+    through :func:`~repro.runtime.sweep.derive_task_seed`
+    ``SeedSequence`` spawning, so results are deterministic and
+    identical between serial and process execution.  ``solver_seed``
+    selects the solver's exploration-noise stream for every task.
 
-    ``cache`` / ``chunk_size`` / ``lease_timeout`` configure the
-    :class:`~repro.runtime.sweep.SweepSpec` (resume store, lease
-    granularity); ``return_report=True`` returns the full
-    :class:`~repro.runtime.sweep.SweepReport` (summary attached) instead
-    of the summary dict — the form the workload registry uses.
+    ``executor`` picks serial (default) or fabric execution; ``cache``
+    is the :class:`~repro.runtime.sweep.SweepSpec` resume store.  The
+    returned report's ``summary`` holds the solve rate, mean steps and
+    the per-puzzle results.
     """
     executor = executor if executor is not None else SweepExecutor(mode="serial")
     param_sets = [
         {
-            # reprolint: disable-next-line=RL002 -- documented mix_seeds=False legacy opt-out
-            "puzzle_seed": derive_task_seed(base_seed, i) if mix_seeds else base_seed + i,
-            "target_clues": target_clues,
-            "max_steps": max_steps,
-            "check_interval": check_interval,
-            "solver_seed": solver_seed,
+            "puzzle_seed": derive_task_seed(config.base_seed, i),
+            "target_clues": config.target_clues,
+            "max_steps": config.max_steps,
+            "check_interval": config.check_interval,
+            "solver_seed": config.solver_seed,
         }
-        for i in range(count)
+        for i in range(config.count)
     ]
     report = executor.execute(
         SweepSpec(
             fn=_solve_one_sudoku,
             param_sets=param_sets,
-            base_seed=base_seed,
+            base_seed=config.base_seed,
             cache=cache,
-            chunk_size=chunk_size,
-            lease_timeout=lease_timeout,
+            chunk_size=config.chunk_size,
+            lease_timeout=config.lease_timeout,
         )
     )
     results = report.results
     solved = sum(1 for r in results if r["solved"])
     report.summary = {
-        "num_puzzles": count,
+        "num_puzzles": config.count,
         "solved": solved,
-        "solve_rate": solved / count if count else 0.0,
+        "solve_rate": solved / config.count if config.count else 0.0,
         "mean_steps": float(np.mean([r["steps"] for r in results])) if results else 0.0,
         "results": results,
     }
-    return report if return_report else report.summary
+    return report
 
 
 # ---------------------------------------------------------------------- #
 # Pooled constraint-solver sweep (one spiking CSP run per instance)
 # ---------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class PooledCSPSweepConfig:
+    """Configuration of the ``pooled-csp`` fabric workload."""
+
+    scenario: str = "coloring"
+    count: int = 8
+    base_seed: int = 0
+    solver_seed: int = 7
+    backend: str = "fixed"
+    max_steps: int = 3000
+    check_interval: int = 10
+    scenario_params: Mapping[str, Any] = field(default_factory=dict)
+    chunk_size: Optional[int] = None
+    lease_timeout: float = 60.0
+
+
 def _solve_one_csp(task: SweepTask) -> Dict[str, Any]:
     """Module-level task function (picklable for the process pool)."""
     from ..csp import SpikingCSPSolver
@@ -367,22 +416,12 @@ def _solve_one_csp(task: SweepTask) -> Dict[str, Any]:
 
 
 def pooled_csp_sweep(
-    scenario: str,
-    count: int,
+    config: PooledCSPSweepConfig,
     *,
-    base_seed: int = 0,
-    solver_seed: int = 7,
-    backend: str = "fixed",
-    max_steps: int = 3000,
-    check_interval: int = 10,
-    scenario_params: Optional[Dict[str, Any]] = None,
     executor: Optional[SweepExecutor] = None,
-    cache: Union[None, bool, str, Path, RunResultCache] = False,
-    chunk_size: Optional[int] = None,
-    lease_timeout: float = 60.0,
-    return_report: bool = False,
-) -> Union[Dict[str, Any], SweepReport]:
-    """Solve ``count`` generated CSP instances, optionally over the fabric.
+    cache: CachePolicy = False,
+) -> SweepReport:
+    """Solve ``config.count`` generated CSP instances, optionally over the fabric.
 
     Each task derives its instance from ``base_seed + index`` through the
     deterministic scenario generators (:mod:`repro.csp.scenarios`), so
@@ -392,63 +431,72 @@ def pooled_csp_sweep(
     which stacks all instances into one batched network, is
     :func:`repro.csp.solver.solve_instances` (used by the harness
     solve-rate experiment).  ``cache`` enables crash-tolerant resume
-    through :class:`~repro.runtime.cache.RunResultCache`;
-    ``return_report=True`` returns the :class:`SweepReport` (summary
-    attached) instead of the summary dict.
+    through :class:`~repro.runtime.cache.RunResultCache`.
     """
     executor = executor if executor is not None else SweepExecutor(mode="serial")
     param_sets = [
         {
-            "scenario": scenario,
-            "instance_seed": base_seed + i,  # reprolint: disable=RL002 -- instance identity
-            "solver_seed": solver_seed,
-            "backend": backend,
-            "max_steps": max_steps,
-            "check_interval": check_interval,
-            "scenario_params": dict(scenario_params or {}),
+            "scenario": config.scenario,
+            # reprolint: disable-next-line=RL002 -- instance identity
+            "instance_seed": config.base_seed + i,
+            "solver_seed": config.solver_seed,
+            "backend": config.backend,
+            "max_steps": config.max_steps,
+            "check_interval": config.check_interval,
+            "scenario_params": dict(config.scenario_params),
         }
-        for i in range(count)
+        for i in range(config.count)
     ]
     report = executor.execute(
         SweepSpec(
             fn=_solve_one_csp,
             param_sets=param_sets,
-            base_seed=base_seed,
+            base_seed=config.base_seed,
             cache=cache,
-            chunk_size=chunk_size,
-            lease_timeout=lease_timeout,
+            chunk_size=config.chunk_size,
+            lease_timeout=config.lease_timeout,
         )
     )
     results = report.results
     solved = sum(1 for r in results if r["solved"])
     report.summary = {
-        "scenario": scenario,
-        "num_instances": count,
+        "scenario": config.scenario,
+        "num_instances": config.count,
         "solved": solved,
-        "solve_rate": solved / count if count else 0.0,
+        "solve_rate": solved / config.count if config.count else 0.0,
         "mean_steps": float(np.mean([r["steps"] for r in results])) if results else 0.0,
         "results": results,
     }
-    return report if return_report else report.summary
+    return report
 
 
 # ---------------------------------------------------------------------- #
 # Restart-portfolio constraint-solver sweep (one saturated batch)
 # ---------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class CSPPortfolioSweepConfig:
+    """Configuration of the ``csp-portfolio`` batched workload."""
+
+    scenario: str = "coloring"
+    count: int = 8
+    base_seed: int = 0
+    backend: str = "fixed"
+    max_steps: int = 3000
+    check_interval: int = 10
+    slots: Optional[int] = None
+    scenario_params: Mapping[str, Any] = field(default_factory=dict)
+    #: Optional ``repro.csp.PortfolioConfig`` / ``CSPConfig`` objects.
+    portfolio: Any = None
+    config: Any = None
+
+
 def csp_portfolio_sweep(
-    scenario: str,
-    count: int,
+    config: CSPPortfolioSweepConfig,
     *,
-    base_seed: int = 0,
-    portfolio: Optional[Any] = None,
-    config: Optional[Any] = None,
-    backend: str = "fixed",
-    max_steps: int = 3000,
-    check_interval: int = 10,
-    slots: Optional[int] = None,
-    scenario_params: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Solve ``count`` generated instances with a restart portfolio.
+    executor: Optional[SweepExecutor] = None,
+    cache: CachePolicy = False,
+) -> SweepReport:
+    """Solve ``config.count`` generated instances with a restart portfolio.
 
     The batched counterpart of :func:`pooled_csp_sweep` for hard instance
     pools: all instances advance as one exact-mode batch and freed batch
@@ -456,64 +504,78 @@ def csp_portfolio_sweep(
     (:func:`repro.csp.portfolio.solve_instances_portfolio`), so the fused
     engine stays saturated for the whole global step budget.  Instances
     derive deterministically from ``base_seed + index`` through the
-    scenario generators, exactly as :func:`pooled_csp_sweep` does.
+    scenario generators, exactly as :func:`pooled_csp_sweep` does.  The
+    batch runs on the slot engine, not the fabric, so ``executor`` and
+    ``cache`` are ignored and the report has one record per instance.
 
-    Returns the usual sweep summary plus portfolio accounting:
+    The summary holds the usual sweep fields plus portfolio accounting:
     ``total_attempts`` and ``total_neuron_updates`` summed over every
     attempt of every instance.
     """
     from ..csp.portfolio import solve_instances_portfolio
     from ..csp.scenarios import make_instance
 
+    # reprolint: disable-next-line=RL002 -- report timing, never solve state
+    started = time.perf_counter()
+    # reprolint: disable-next-line=RL002 -- instance-identity seeds (frozen corpus)
+    seeds = [config.base_seed + i for i in range(config.count)]
     instances = [
-        # reprolint: disable-next-line=RL002 -- instance-identity seeds (frozen corpus)
-        make_instance(scenario, seed=base_seed + i, **dict(scenario_params or {}))
-        for i in range(count)
+        make_instance(config.scenario, seed=seed, **dict(config.scenario_params))
+        for seed in seeds
     ]
     results = solve_instances_portfolio(
         instances,
-        config=config,
-        portfolio=portfolio,
-        backend=backend,
-        max_steps=max_steps,
-        check_interval=check_interval,
-        slots=slots,
+        config=config.config,
+        portfolio=config.portfolio,
+        backend=config.backend,
+        max_steps=config.max_steps,
+        check_interval=config.check_interval,
+        slots=config.slots,
     )
     solved = sum(1 for r in results if r.solved)
-    return {
-        "scenario": scenario,
-        "num_instances": count,
+    summary = {
+        "scenario": config.scenario,
+        "num_instances": config.count,
         "solved": solved,
-        "solve_rate": solved / count if count else 0.0,
+        "solve_rate": solved / config.count if config.count else 0.0,
         "mean_steps": float(np.mean([r.steps for r in results])) if results else 0.0,
         "total_attempts": int(sum(r.attempts for r in results)),
         "total_neuron_updates": int(sum(r.neuron_updates for r in results)),
         "results": results,
     }
+    return _engine_report("batched", summary, list(results), seeds, started)
+
+
+# ---------------------------------------------------------------------- #
+# Open-loop load through the solve service
+# ---------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class ServeLoadSweepConfig:
+    """Configuration of the ``serve-load`` open-loop service workload."""
+
+    capacity: int = 32
+    queue_limit: Optional[int] = None
+    num_clients: int = 8
+    requests_per_client: int = 8
+    mean_interarrival_steps: float = 40.0
+    scenario: str = "coloring"
+    scenario_params: Mapping[str, Any] = field(default_factory=dict)
+    unique_instances: int = 24
+    seed: int = 0
+    max_steps: int = 1500
+    deadline: Optional[float] = None
+    backend: str = "fixed"
+    check_interval: int = 10
+    #: Optional ``repro.csp.CSPConfig`` for the served solves.
+    config: Any = None
 
 
 def serve_load_sweep(
+    config: ServeLoadSweepConfig,
     *,
-    capacity: int = 32,
-    queue_limit: Optional[int] = None,
-    num_clients: int = 8,
-    requests_per_client: int = 8,
-    mean_interarrival_steps: float = 40.0,
-    scenario: str = "coloring",
-    scenario_params: Optional[Dict[str, Any]] = None,
-    unique_instances: int = 24,
-    seed: int = 0,
-    max_steps: int = 1500,
-    deadline: Optional[float] = None,
-    retry_budget: int = 0,
-    retry_base_steps: float = 8.0,
-    retry_cap_steps: float = 128.0,
-    retry_deadline_steps: Optional[float] = None,
-    config: Optional[Any] = None,
-    backend: str = "fixed",
-    check_interval: int = 10,
-    cache: Optional[RunResultCache] = None,
-) -> Dict[str, Any]:
+    executor: Optional[SweepExecutor] = None,
+    cache: CachePolicy = False,
+) -> SweepReport:
     """Drive a seeded open-loop workload through a :class:`SolveService`.
 
     The online counterpart of :func:`csp_portfolio_sweep`: instead of
@@ -523,57 +585,57 @@ def serve_load_sweep(
     exact-mode batch (:mod:`repro.serve`).  The service runs on its
     deterministic step clock, so the summary — including shed counts and
     latency percentiles — is exactly reproducible for a given seed.
+    ``cache`` (resolved through
+    :func:`~repro.runtime.cache.resolve_cache`) is the service's result
+    cache; ``executor`` is ignored.
 
-    With a ``retry_budget``, clients that get shed back off with seeded
-    jittered exponential delays and resubmit (see
-    :class:`~repro.serve.loadgen.OpenLoopLoad`); the client-side retry
-    ledger is reported alongside the service metrics.
-
-    Returns the served rows (``(client, pool_index, ServeResult-or-None)``)
-    plus the final :class:`~repro.serve.metrics.MetricsSnapshot` fields.
+    The report's results are the served rows (``(client, pool_index,
+    ServeResult-or-None)``); its summary adds the final
+    :class:`~repro.serve.metrics.MetricsSnapshot` fields and the
+    client-side retry ledger of :func:`~repro.serve.run_open_loop_sync`.
     """
     from ..serve import OpenLoopLoad, run_open_loop_sync
 
+    # reprolint: disable-next-line=RL002 -- report timing, never solve state
+    started = time.perf_counter()
     spec = OpenLoopLoad(
-        num_clients=num_clients,
-        requests_per_client=requests_per_client,
-        mean_interarrival_steps=mean_interarrival_steps,
-        scenario=scenario,
-        scenario_params=dict(scenario_params or {}),
-        unique_instances=unique_instances,
-        seed=seed,
-        max_steps=max_steps,
-        deadline=deadline,
-        retry_budget=retry_budget,
-        retry_base_steps=retry_base_steps,
-        retry_cap_steps=retry_cap_steps,
-        retry_deadline_steps=retry_deadline_steps,
+        num_clients=config.num_clients,
+        requests_per_client=config.requests_per_client,
+        mean_interarrival_steps=config.mean_interarrival_steps,
+        scenario=config.scenario,
+        scenario_params=dict(config.scenario_params),
+        unique_instances=config.unique_instances,
+        seed=config.seed,
+        max_steps=config.max_steps,
+        deadline=config.deadline,
     )
     rows, metrics, load_stats = run_open_loop_sync(
         spec,
-        capacity=capacity,
-        queue_limit=queue_limit,
-        config=config,
-        backend=backend,
-        check_interval=check_interval,
-        seed=seed,
-        cache=cache,
+        capacity=config.capacity,
+        queue_limit=config.queue_limit,
+        config=config.config,
+        backend=config.backend,
+        check_interval=config.check_interval,
+        seed=config.seed,
+        cache=resolve_cache(cache),
         clock="steps",
-        default_max_steps=max_steps,
+        default_max_steps=config.max_steps,
     )
     served = [result for _, _, result in rows if result is not None]
     solved = sum(1 for r in served if r.solved)
-    return {
-        "scenario": scenario,
-        "capacity": capacity,
+    summary = {
+        "scenario": config.scenario,
+        "capacity": config.capacity,
         "num_requests": spec.total_requests,
         "served": len(served),
         "solved": solved,
         "solve_rate": solved / len(served) if served else 0.0,
-        "retry_budget": retry_budget,
+        "retry_budget": spec.retry_budget,
         "retries": load_stats["retries"],
         "recovered_by_retry": load_stats["recovered_by_retry"],
         "shed_after_retries": load_stats["shed"],
         "rows": rows,
         "metrics": metrics.as_dict(),
     }
+    seeds = [derive_task_seed(config.seed, i) for i in range(len(rows))]
+    return _engine_report("serve", summary, list(rows), seeds, started)

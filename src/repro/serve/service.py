@@ -60,14 +60,19 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Se
 if TYPE_CHECKING:
     from pathlib import Path
 
-    from ..runtime.checkpoint import FaultPlan
-
 import numpy as np
 
 from ..csp.config import CSPConfig
 from ..csp.graph import ClampsLike, ConstraintGraph
-from ..csp.solver import CSP_SLOT_DECODER, CSPSolveResult, SpikingCSPSolver, _empty_result
+from ..csp.solver import (
+    CSP_SLOT_DECODER,
+    CSPSolveResult,
+    SpikingCSPSolver,
+    _attempt_result,
+    _empty_result,
+)
 from ..runtime.cache import RunResultCache, derive_cache_key
+from ..runtime.checkpoint import Checkpointer, CheckpointStore, FaultPlan
 from ..runtime.slots import SlotAdmission, SlotCheckpoint, SlotDecision, SlotEngine, SlotRow
 from ..runtime.sweep import derive_task_seed
 from .metrics import MetricsRecorder, MetricsSnapshot
@@ -291,7 +296,7 @@ class SolveService:
         checkpoint_dir: Union[str, "Path", None] = None,
         checkpoint_every: Optional[int] = None,
         journal_path: Union[str, "Path", None] = None,
-        fault: Optional["FaultPlan"] = None,
+        fault: Optional[FaultPlan] = None,
         recover: bool = True,
     ) -> None:
         if capacity < 1:
@@ -358,23 +363,22 @@ class SolveService:
         # Durability plumbing: periodic engine checkpoints plus a
         # write-ahead admission journal (both optional, both fed by the
         # same deterministic FaultPlan in the chaos suites).
-        if checkpoint_every is not None and int(checkpoint_every) < 1:
-            raise ValueError("checkpoint_every must be positive")
-        self._fault = fault
-        self._ckpt_every = (
-            int(checkpoint_every) if checkpoint_every is not None else 10 * self._check_interval
-        )
-        self._ckpt_store = None
+        store = None
         if checkpoint_dir is not None:
-            from ..runtime.checkpoint import CheckpointStore
-
-            self._ckpt_store = CheckpointStore(checkpoint_dir, kind="serve", fault=fault)
+            store = CheckpointStore(checkpoint_dir, kind="serve", fault=fault)
+        self._checkpointer = Checkpointer(
+            store,
+            check_interval=self._check_interval,
+            every=checkpoint_every,
+            fault=fault,
+            snapshot=self._snapshot,
+        )
         self._journal = None
         if journal_path is not None:
             from .journal import AdmissionJournal
 
             self._journal = AdmissionJournal(journal_path, fault=fault)
-        if recover and (self._ckpt_store is not None or self._journal is not None):
+        if recover and (store is not None or self._journal is not None):
             self._recover()
 
     # ------------------------------------------------------------------ #
@@ -806,17 +810,16 @@ class SolveService:
             "max_steps": ticket.max_steps,
         }
 
-    def _save_checkpoint(self) -> None:
-        """Snapshot the live engine plus every running ticket's identity."""
-        payloads = [self._ticket_descriptor(row.payload) for row in self._engine.rows]
-        self._ckpt_store.save(
-            self._step,
-            {
-                "num_neurons": self._num_neurons,
-                "engine": self._engine.export_state(payloads=payloads),
-            },
-        )
+    def _snapshot(self, engine: SlotEngine, policy: ServePolicy) -> dict:
+        """The live engine plus every running ticket's identity."""
         self._metrics.record_checkpoint()
+        payloads = [self._ticket_descriptor(row.payload) for row in engine.rows]
+        return {"engine": engine.export_state(payloads=payloads)}
+
+    def _revive(self, descriptor: dict) -> Tuple[_Ticket, Any]:
+        """A checkpointed row's ticket plus its freshly built network."""
+        ticket = _Ticket(**descriptor, state="running", recovered=True)
+        return ticket, self._build_network(ticket)
 
     def _recover(self) -> None:
         """Resurrect state from the newest checkpoint plus the journal.
@@ -834,37 +837,14 @@ class SolveService:
         if self._journal is not None:
             records, _torn = self._journal.replay(repair=True)
             done_keys = {r["key"] for r in records if r["kind"] == "done"}
-        restored = None
-        failures = 0
-        if self._ckpt_store is not None:
-            restored = self._ckpt_store.load_latest()
-            failures = len(self._ckpt_store.failures)
-        restored_rows = 0
+        restored = self._checkpointer.restore(self._engine, self._revive)
+        store = self._checkpointer.store
+        failures = len(store.failures) if store is not None else 0
         if restored is not None:
-            _, payload = restored
-            self._num_neurons = payload["num_neurons"]
-            tickets: List[_Ticket] = []
-            networks = []
-            for row_state in payload["engine"]["rows"]:
-                desc = row_state["payload"]
-                ticket = _Ticket(
-                    key=desc["key"],
-                    graph_digest=desc["graph_digest"],
-                    graph=desc["graph"],
-                    clamps=desc["clamps"],
-                    seed=desc["seed"],
-                    max_steps=desc["max_steps"],
-                    state="running",
-                    recovered=True,
-                )
-                tickets.append(ticket)
-                networks.append(self._build_network(ticket))
-            self._engine.restore_state(payload["engine"], networks)
-            for row, ticket in zip(self._engine.rows, tickets):
-                row.payload = ticket
-                if ticket.key is not None:
-                    self._inflight[ticket.key] = ticket
-            restored_rows = len(tickets)
+            self._num_neurons = self._engine.num_neurons
+            for row in self._engine.rows:
+                if row.payload.key is not None:
+                    self._inflight[row.payload.key] = row.payload
         replayed = 0
         for record in records:
             if record.get("kind") != "admit":
@@ -890,7 +870,9 @@ class SolveService:
                 self._num_neurons = graph.num_neurons
             replayed += 1
         if restored is not None or replayed:
-            self._metrics.record_restore(rows=restored_rows, replayed=replayed, failures=failures)
+            self._metrics.record_restore(
+                rows=self._engine.num_rows, replayed=replayed, failures=failures
+            )
         elif failures:
             self._metrics.checkpoint_failures += failures
 
@@ -1018,33 +1000,14 @@ class SolveService:
                 await self._wake.wait()
                 continue
             for _ in range(self._yield_steps):
-                self._advance_step()
+                # The engine's own loop body: ServePolicy decides, the
+                # checkpointer snapshots and injects the crash.
+                self._metrics.record_step(self._engine.num_rows)
+                self._engine.advance(self._policy, self._checkpointer)
                 if not self._engine.num_rows:
                     break
             await asyncio.sleep(0)
         self._flush_step_waiters()
-
-    def _advance_step(self) -> None:
-        """One engine step plus the serve-side checkpoint dispatch.
-
-        The stepping, local counters and sliding windows are the shared
-        :class:`SlotEngine`'s — which is what makes every served row
-        bit-identical to its standalone solve; the checkpoint decision
-        (finish, expire, refill) is :class:`ServePolicy`'s.
-        """
-        checkpoint = self._engine.step()
-        self._metrics.record_step(self._engine.num_rows)
-        if checkpoint is not None:
-            decision = self._policy.on_checkpoint(checkpoint)
-            self._engine.recompose(decision.keep, decision.admissions)
-        if self._ckpt_store is not None and self._step % self._ckpt_every == 0:
-            self._save_checkpoint()
-        if self._fault is not None and self._fault.should_crash(self._step):
-            import os
-
-            from ..runtime.checkpoint import FaultPlan
-
-            os._exit(FaultPlan.CRASH_EXIT_CODE)
 
     def _checkpoint_decision(self, checkpoint: SlotCheckpoint) -> SlotDecision:
         """Decide which rows finish, expire or survive one checkpoint."""
@@ -1058,15 +1021,11 @@ class SolveService:
                 continue
             decode = self._engine.decode_row(row)
             if decode.solved or checkpoint.at_budget[row]:
-                result = CSPSolveResult(
-                    solved=decode.solved,
-                    steps=int(local[row]),
-                    values=decode.values,
-                    decided=decode.decided,
-                    total_spikes=int(self._engine.row_spikes[row]),
-                    neuron_updates=int(local[row]) * int(self._engine.updates_per_step),
-                    attempts=1,
-                    attempt_steps=(int(local[row]),),
+                result = _attempt_result(
+                    decode,
+                    int(local[row]),
+                    int(self._engine.row_spikes[row]),
+                    int(self._engine.updates_per_step),
                 )
                 self._finish_ticket(ticket, result)
                 continue

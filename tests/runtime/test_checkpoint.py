@@ -273,3 +273,23 @@ def test_zero_budget_checkpointed_solve_is_the_empty_decode(tmp_path):
         _instances(), seed=5, max_steps=0, checkpoint_dir=tmp_path
     )
     _assert_results_identical(checkpointed, plain)
+
+
+@pytest.mark.parametrize("max_steps", [0, 10])
+def test_nonpositive_checkpoint_every_is_rejected_on_every_path(tmp_path, max_steps):
+    """The cadence is validated once, whether or not the solve ever steps."""
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        solve_instances(
+            _instances(),
+            seed=5,
+            max_steps=max_steps,
+            checkpoint_dir=tmp_path,
+            checkpoint_every=0,
+        )
+
+
+def test_service_rejects_nonpositive_checkpoint_every():
+    from repro.serve import SolveService
+
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        SolveService(checkpoint_every=0)

@@ -1,9 +1,13 @@
 """The ``csp`` workload through the backend registry, sweeps and cache."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.runtime import (
+    PooledCSPSweepConfig,
+    PooledSudokuSweepConfig,
     RunRequest,
     RunResultCache,
     get_backend,
@@ -76,8 +80,9 @@ class TestCSPBackendWorkload:
 class TestPooledCSPSweep:
     def test_sweep_shape_and_determinism(self):
         kwargs = dict(base_seed=0, max_steps=300, scenario_params={"n": 4})
-        first = pooled_csp_sweep("latin", 2, **kwargs)
-        second = pooled_csp_sweep("latin", 2, **kwargs)
+        config = PooledCSPSweepConfig(scenario="latin", count=2, **kwargs)
+        first = pooled_csp_sweep(config).summary
+        second = pooled_csp_sweep(config).summary
         assert first["scenario"] == "latin"
         assert first["num_instances"] == 2
         assert len(first["results"]) == 2
@@ -88,16 +93,18 @@ class TestPooledCSPSweep:
 
     def test_process_pool_matches_serial(self):
         kwargs = dict(base_seed=0, max_steps=200, scenario_params={"n": 4})
-        serial = pooled_csp_sweep("latin", 2, **kwargs)
+        config = PooledCSPSweepConfig(scenario="latin", count=2, **kwargs)
+        serial = pooled_csp_sweep(config).summary
         pooled = pooled_csp_sweep(
-            "latin", 2, executor=SweepExecutor(mode="process", max_workers=2), **kwargs
-        )
+            config, executor=SweepExecutor(mode="process", max_workers=2)
+        ).summary
         assert serial == pooled
 
     def test_solver_seed_threads_through(self):
         kwargs = dict(base_seed=0, max_steps=150, scenario_params={"n": 4})
-        a = pooled_csp_sweep("latin", 1, solver_seed=1, **kwargs)
-        b = pooled_csp_sweep("latin", 1, solver_seed=2, **kwargs)
+        config = PooledCSPSweepConfig(scenario="latin", count=1, **kwargs)
+        a = pooled_csp_sweep(replace(config, solver_seed=1)).summary
+        b = pooled_csp_sweep(replace(config, solver_seed=2)).summary
         assert (
             a["results"][0]["total_spikes"] != b["results"][0]["total_spikes"]
             or a["results"][0]["steps"] != b["results"][0]["steps"]
@@ -109,9 +116,10 @@ class TestPooledSudokuSolverSeed:
 
     def test_solver_seed_changes_results(self):
         kwargs = dict(base_seed=1000, target_clues=40, max_steps=60)
-        default = pooled_sudoku_sweep(1, **kwargs)
-        explicit = pooled_sudoku_sweep(1, solver_seed=7, **kwargs)
-        different = pooled_sudoku_sweep(1, solver_seed=11, **kwargs)
+        config = PooledSudokuSweepConfig(count=1, **kwargs)
+        default = pooled_sudoku_sweep(config).summary
+        explicit = pooled_sudoku_sweep(replace(config, solver_seed=7)).summary
+        different = pooled_sudoku_sweep(replace(config, solver_seed=11)).summary
         # The historical default (7) is preserved...
         assert default == explicit
         # ...and a different solver seed now actually reaches the solver.

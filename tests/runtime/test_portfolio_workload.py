@@ -2,7 +2,13 @@
 
 from repro.csp import PortfolioConfig
 from repro.harness import csp_portfolio_solve_rate
-from repro.runtime import csp_portfolio_sweep, derive_task_seed, pooled_sudoku_sweep
+from repro.runtime import (
+    CSPPortfolioSweepConfig,
+    PooledSudokuSweepConfig,
+    csp_portfolio_sweep,
+    derive_task_seed,
+    pooled_sudoku_sweep,
+)
 
 
 class TestCSPPortfolioSweep:
@@ -13,8 +19,9 @@ class TestCSPPortfolioSweep:
             portfolio=PortfolioConfig(base_budget=60, seed=3),
             scenario_params={"num_vertices": 10, "num_colors": 3, "edge_probability": 0.8},
         )
-        a = csp_portfolio_sweep("coloring", 4, **kwargs)
-        b = csp_portfolio_sweep("coloring", 4, **kwargs)
+        config = CSPPortfolioSweepConfig(scenario="coloring", count=4, **kwargs)
+        a = csp_portfolio_sweep(config).summary
+        b = csp_portfolio_sweep(config).summary
         assert a["num_instances"] == 4
         assert 0.0 <= a["solve_rate"] <= 1.0
         assert a["total_attempts"] >= 4
@@ -60,19 +67,6 @@ class TestCSPPortfolioSolveRate:
 class TestPooledSudokuSeedMixing:
     def test_mix_seeds_default_uses_seed_sequence(self):
         kwargs = dict(base_seed=1000, target_clues=40, max_steps=40)
-        mixed = pooled_sudoku_sweep(2, **kwargs)
+        mixed = pooled_sudoku_sweep(PooledSudokuSweepConfig(count=2, **kwargs)).summary
         got = [r["puzzle_seed"] for r in mixed["results"]]
         assert got == [derive_task_seed(1000, i) for i in range(2)]
-
-    def test_legacy_linear_scheme_preserved_as_opt_out(self):
-        kwargs = dict(base_seed=1000, target_clues=40, max_steps=40)
-        legacy = pooled_sudoku_sweep(2, mix_seeds=False, **kwargs)
-        assert [r["puzzle_seed"] for r in legacy["results"]] == [1000, 1001]
-
-    def test_schemes_differ(self):
-        kwargs = dict(base_seed=1000, target_clues=40, max_steps=40)
-        mixed = pooled_sudoku_sweep(1, **kwargs)
-        legacy = pooled_sudoku_sweep(1, mix_seeds=False, **kwargs)
-        assert (
-            mixed["results"][0]["puzzle_seed"] != legacy["results"][0]["puzzle_seed"]
-        )

@@ -16,6 +16,7 @@ staying reproducible.
 """
 
 import random
+import shutil
 from collections import deque
 from dataclasses import dataclass
 from typing import List
@@ -26,6 +27,7 @@ import pytest
 from repro.csp import SpikingCSPSolver, make_instance
 from repro.csp.config import CSPConfig
 from repro.csp.solver import CSP_SLOT_DECODER, decode_assignment
+from repro.runtime.checkpoint import Checkpointer, CheckpointStore
 from repro.runtime.slots import (
     OneShotPolicy,
     SlotDecision,
@@ -210,6 +212,91 @@ class TestOneShotPolicy:
             assert outcome.local_steps == reference.steps
             assert outcome.spikes == reference.total_spikes
             np.testing.assert_array_equal(outcome.decode.values, reference.values)
+
+
+def _one_shot_snapshot(engine, policy):
+    return {"engine": engine.export_state(), "outcomes": list(policy.outcomes)}
+
+
+class TestCheckpointHook:
+    """Restoring any step's snapshot and finishing equals the uninterrupted run."""
+
+    JOBS = [_Job(name=f"job{i}", seed=300 + i, budget=120) for i in range(4)]
+
+    @staticmethod
+    def _engine(config):
+        return SlotEngine(
+            decoder=CSP_SLOT_DECODER,
+            window=max(1, config.decode_window),
+            check_interval=CHECK_INTERVAL,
+            extendable=False,
+        )
+
+    @staticmethod
+    def _admission(job, config):
+        graph, clamps = job.make()
+        solver = SpikingCSPSolver(graph, config, backend="fixed", seed=job.seed)
+        row = SlotRow(graph=graph, clamps=clamps, budget=job.budget, payload=job)
+        return row, solver.build_network(clamps)
+
+    @staticmethod
+    def _summary(outcomes):
+        return {
+            o.row.payload: (
+                o.local_steps,
+                o.spikes,
+                o.decode.solved,
+                o.decode.values.tolist(),
+                o.decode.decided.tolist(),
+            )
+            for o in outcomes
+        }
+
+    def test_every_step_snapshot_resumes_bit_identically(self, tmp_path):
+        config = CSPConfig()
+        max_steps = max(job.budget for job in self.JOBS)
+        store = CheckpointStore(tmp_path / "all", keep=max_steps + 1)
+        policy = OneShotPolicy([self._admission(job, config) for job in self.JOBS])
+        engine = self._engine(config)
+        engine.run(
+            policy,
+            max_steps=max_steps,
+            checkpointer=Checkpointer(
+                store, check_interval=CHECK_INTERVAL, every=1, snapshot=_one_shot_snapshot
+            ),
+        )
+        expected = self._summary(policy.outcomes)
+        assert len(expected) == len(self.JOBS)
+
+        steps = store.steps()
+        assert steps == list(range(1, engine.global_step + 1))
+        # Some row retires at a step after which others still run: its
+        # snapshot holds both the retirement and live rows.
+        retired_early = {
+            o.local_steps for o in policy.outcomes if o.local_steps < engine.global_step
+        }
+        assert retired_early & set(steps)
+
+        for k in steps:
+            single = tmp_path / f"step{k}"
+            single.mkdir()
+            name = f"ckpt-{k:012d}{CheckpointStore.SUFFIX}"
+            shutil.copy(tmp_path / "all" / name, single / name)
+            checkpointer = Checkpointer(
+                CheckpointStore(single),
+                check_interval=CHECK_INTERVAL,
+                every=max_steps + 1,
+                snapshot=_one_shot_snapshot,
+            )
+            resumed = self._engine(config)
+            restored = checkpointer.restore(
+                resumed, lambda job: (job, self._admission(job, config)[1])
+            )
+            assert restored is not None and resumed.global_step == k
+            finish = OneShotPolicy([])
+            finish.outcomes = list(restored["outcomes"])
+            resumed.run(finish, max_steps=max_steps, checkpointer=checkpointer)
+            assert self._summary(finish.outcomes) == expected, k
 
 
 class TestZeroStepGuards:

@@ -1,4 +1,4 @@
-"""The typed workload registry: name -> config -> SweepReport."""
+"""Sweep workloads by name: name -> config -> SweepReport."""
 
 import dataclasses
 
@@ -8,12 +8,9 @@ from repro.runtime import (
     PooledCSPSweepConfig,
     SweepExecutor,
     SweepReport,
-    register_sweep_workload,
     run_sweep_workload,
-    sweep_workload_config,
     sweep_workloads,
 )
-from repro.runtime.registry import _REGISTRY
 
 pytestmark = pytest.mark.slow
 
@@ -32,10 +29,8 @@ class TestRegistryShape:
             run_sweep_workload("nope")
 
     def test_config_builder_rejects_unknown_keys(self):
-        config = sweep_workload_config("pooled-csp", count=2)
-        assert config == PooledCSPSweepConfig(count=2)
         with pytest.raises(TypeError):
-            sweep_workload_config("pooled-csp", typo_key=1)
+            run_sweep_workload("pooled-csp", typo_key=1)
 
     def test_override_of_existing_config_uses_replace(self):
         base = PooledCSPSweepConfig(count=4)
@@ -45,18 +40,6 @@ class TestRegistryShape:
     def test_wrong_config_type_rejected(self):
         with pytest.raises(TypeError, match="PooledSudokuSweepConfig"):
             run_sweep_workload("pooled-sudoku", PooledCSPSweepConfig())
-
-    def test_duplicate_registration_rejected(self):
-        entry = _REGISTRY["pooled-csp"]
-        with pytest.raises(ValueError, match="already registered"):
-            register_sweep_workload(
-                entry.name, entry.config_type, entry.runner, entry.description
-            )
-        # replace=True is the explicit escape hatch
-        register_sweep_workload(
-            entry.name, entry.config_type, entry.runner, entry.description, replace=True
-        )
-        assert _REGISTRY["pooled-csp"] is not entry
 
 
 class TestRegisteredWorkloads:
@@ -75,7 +58,7 @@ class TestRegisteredWorkloads:
 
         kwargs = dict(count=2, max_steps=60, scenario_params={"num_nodes": 6})
         via_registry = run_sweep_workload("pooled-csp", **kwargs).summary
-        direct = pooled_csp_sweep("coloring", **kwargs)
+        direct = pooled_csp_sweep(PooledCSPSweepConfig(scenario="coloring", **kwargs)).summary
         assert via_registry == direct
 
     def test_pooled_csp_through_fabric_executor(self):
@@ -124,14 +107,3 @@ class TestRegisteredWorkloads:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.count = 3
         assert dataclasses.replace(config, count=3).count == 3
-
-
-class TestHarnessEntryPoint:
-    def test_harness_sweep_workload_delegates_to_registry(self):
-        from repro.harness import experiments
-
-        report = experiments.sweep_workload(
-            "pooled-csp", count=2, max_steps=60, scenario_params={"num_nodes": 6}
-        )
-        assert isinstance(report, SweepReport)
-        assert report.summary["num_instances"] == 2

@@ -54,10 +54,9 @@ class DeterminismConfig:
     #: Subtrees that must be step-deterministic (no wall-clock reads).
     clock_scope: Tuple[str, ...] = ("src/repro",)
     #: Timing/metrics modules exempt from the wall-clock check (sweep
-    #: fabric lease clocks, report timing, CLI stopwatch).
+    #: fabric lease clocks, CLI stopwatch).
     clock_allow: Tuple[str, ...] = (
         "src/repro/runtime/sweep.py",
-        "src/repro/runtime/registry.py",
         "src/repro/quickstart.py",
     )
     #: ``time.<attr>`` reads treated as wall-clock sources.

@@ -12,8 +12,8 @@ paid for:
   PR 5).  Seeds must route through ``numpy.random.SeedSequence`` or the
   ``derive_*`` helpers; arithmetic is fine *inside* those calls (salting
   the entropy pool is exactly what they are for).  The deliberate
-  frozen-corpus enumerations (`mix_seeds=False` legacy opt-outs,
-  instance-identity seeds) carry inline waivers.
+  frozen-corpus enumerations (instance-identity seeds) carry inline
+  waivers.
 * **No wall-clock reads in step-deterministic layers.**  ``time.time``
   / ``monotonic`` / ``perf_counter`` values leaking into solve state
   make runs unreplayable.  Timing/metrics modules are allowlisted in
