@@ -38,7 +38,7 @@ import tempfile
 import time
 
 from repro.harness import format_table
-from repro.runtime import SweepExecutor, run_sweep_workload
+from repro.runtime import RunResultCache, SweepExecutor, run_sweep_workload
 
 COUNT = int(os.environ.get("SWEEP_BENCH_COUNT", "12"))
 MAX_STEPS = int(os.environ.get("SWEEP_BENCH_MAX_STEPS", "1500"))
@@ -99,14 +99,14 @@ def _run_resume_check():
             max_steps=MAX_STEPS,
             scenario_params=WORKLOAD_KWARGS["scenario_params"],
             executor=executor,
-            cache=cache_dir,
+            cache=RunResultCache(cache_dir),
         )
         partial_seconds = time.perf_counter() - started
         started = time.perf_counter()
         resumed = run_sweep_workload(
             "pooled-csp",
             executor=SweepExecutor(mode="process", max_workers=WORKERS),
-            cache=cache_dir,
+            cache=RunResultCache(cache_dir),
             **WORKLOAD_KWARGS,
         )
         resumed_seconds = time.perf_counter() - started

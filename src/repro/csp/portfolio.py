@@ -29,8 +29,9 @@ Determinism and exactness:
 * attempt seeds derive from ``(portfolio seed, instance index, attempt
   index)`` through ``SeedSequence`` spawn keys, so the schedule is
   reproducible regardless of which slot an attempt lands in;
-* with restarts disabled the engine runs exactly one full-budget attempt
-  per instance and is bit-identical to ``solve_instances``.
+* ``PortfolioConfig(schedule="fixed", base_budget=max_steps,
+  max_attempts=1)`` runs exactly one full-budget attempt per instance
+  and is bit-identical to ``solve_instances``.
 """
 
 from __future__ import annotations
@@ -125,9 +126,6 @@ class PortfolioConfig:
     #: ``anneal_variants[(k - 2) % len]`` (each a mapping over
     #: ``noise_sigma`` / ``anneal_period`` / ``anneal_floor``).
     anneal_variants: Tuple[Mapping[str, float], ...] = ()
-    #: ``False`` runs exactly one full-budget attempt per instance —
-    #: bit-identical to :func:`repro.csp.solver.solve_instances`.
-    restarts: bool = True
 
     def __post_init__(self) -> None:
         if self.schedule not in ("luby", "geometric", "fixed"):
@@ -219,8 +217,9 @@ def solve_instances_portfolio(
     seeds:
         Optional explicit noise seeds of each instance's *first* attempt
         (restart attempts always derive theirs from the portfolio seed).
-        With ``portfolio.restarts`` false this makes the run bit-identical
-        to ``solve_instances(instances, seeds=seeds, ...)``.
+        With a one-attempt portfolio (``schedule="fixed"``,
+        ``base_budget=max_steps``, ``max_attempts=1``) this makes the run
+        bit-identical to ``solve_instances(instances, seeds=seeds, ...)``.
     max_steps:
         Global step budget shared by the whole batch.
     slots:
@@ -343,10 +342,7 @@ class RestartPortfolioPolicy:
             attempt_seed = int(self._seeds[instance])
         else:
             attempt_seed = derive_attempt_seed(pcfg.seed, instance, attempt_index)
-        if pcfg.restarts:
-            budget = min(pcfg.attempt_budget(attempt_index), self._max_steps)
-        else:
-            budget = self._max_steps
+        budget = min(pcfg.attempt_budget(attempt_index), self._max_steps)
         attempt_cfg = pcfg.attempt_config(self._cfg, attempt_index)
         solver = SpikingCSPSolver(
             state.graph,
@@ -383,21 +379,16 @@ class RestartPortfolioPolicy:
         Round-robin by launched-attempt count (fewest first, ties by
         instance index) — deterministic, and it spreads the freed
         capacity over the whole unsolved pool before racing extra
-        attempts on any one instance.  With restarts disabled only
+        attempts on any one instance.  With ``max_attempts=1`` only
         *first* attempts are dispatched (instances beyond the initial
         wave still get their one attempt when a slot frees up; a late
         wave sees whatever global steps remain).
         """
         if global_step >= self._max_steps:
             return []
-        pcfg = self._pcfg
         launched: List[SlotAdmission] = []
         while len(launched) < count:
-            candidates = [
-                i
-                for i in range(len(self._states))
-                if self._eligible(i) and (pcfg.restarts or self._states[i].launched == 0)
-            ]
+            candidates = [i for i in range(len(self._states)) if self._eligible(i)]
             if not candidates:
                 break
             chosen = min(candidates, key=lambda i: (self._states[i].launched, i))

@@ -4,22 +4,10 @@ Public API
 ----------
 * :class:`~repro.fixedpoint.qformat.QFormat` and the concrete formats
   :data:`Q7_8`, :data:`Q4_11`, :data:`Q15_16` used by the paper.
-* Vectorised raw-payload arithmetic (:func:`fx_add`, :func:`fx_mul`, ...).
 * VU-word packing helpers (:func:`pack_vu`, :func:`unpack_vu`).
 """
 
 from .qformat import Overflow, Q4_11, Q7_8, Q15_16, Q16_16, QFormat, Rounding
-from .ops import (
-    align,
-    fx_add,
-    fx_compare,
-    fx_mul,
-    fx_neg,
-    fx_shift_left,
-    fx_shift_right,
-    fx_sub,
-    requantize,
-)
 from .vuword import pack_vu, pack_vu_float, unpack_vu, unpack_vu_float
 
 __all__ = [
@@ -30,15 +18,6 @@ __all__ = [
     "Q4_11",
     "Q15_16",
     "Q16_16",
-    "align",
-    "requantize",
-    "fx_add",
-    "fx_sub",
-    "fx_mul",
-    "fx_neg",
-    "fx_shift_left",
-    "fx_shift_right",
-    "fx_compare",
     "pack_vu",
     "unpack_vu",
     "pack_vu_float",

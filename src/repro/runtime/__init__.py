@@ -64,7 +64,7 @@ from .backends import (
     run_on_backend,
 )
 from .batch import BatchedNetwork, BatchIncompatibleError
-from .cache import RunResultCache, code_fingerprint, default_cache
+from .cache import RunResultCache, code_fingerprint
 from .checkpoint import (
     CheckpointCorruptError,
     CheckpointError,
@@ -134,7 +134,6 @@ __all__ = [
     "BatchIncompatibleError",
     "RunResultCache",
     "code_fingerprint",
-    "default_cache",
     "CheckpointCorruptError",
     "CheckpointError",
     "CheckpointStore",

@@ -43,15 +43,14 @@ Registering a new backend::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Protocol, Union, runtime_checkable
+from typing import Any, Dict, List, Mapping, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
 from ..snn.analysis import SpikeRaster
 from ..snn.eighty_twenty import EightyTwentyConfig, build_eighty_twenty
 from ..snn.network import SNNNetwork
-from .cache import RunResultCache, resolve_cache
+from .cache import RunResultCache
 
 __all__ = [
     "RunRequest",
@@ -345,27 +344,23 @@ def run_on_backend(
     name: str,
     request: RunRequest,
     *,
-    cache: Union[None, bool, str, Path, RunResultCache] = None,
+    cache: Optional[RunResultCache] = None,
 ) -> RunResult:
     """Run ``request`` on the named backend, optionally through a cache.
 
     Parameters
     ----------
     cache:
-        ``None`` (default) honours the ``REPRO_RUN_CACHE`` environment
-        switch; ``True``/``False`` force the default on-disk
-        :class:`~repro.runtime.cache.RunResultCache` on/off; a string or
-        path selects an explicit store directory (the picklable form the
-        sweep fabric hands its pool workers); an explicit instance is
-        used as-is.  A cached run is served without invoking the backend
-        at all (the cache key covers backend name, the full request, and
-        a fingerprint of the ``repro`` sources).
+        ``None`` (default) runs the backend; a
+        :class:`~repro.runtime.cache.RunResultCache` serves a cached run
+        without invoking the backend at all (the cache key covers backend
+        name, the full request, and a fingerprint of the ``repro``
+        sources).
     """
     backend = get_backend(name)
-    resolved = resolve_cache(cache)
-    if resolved is None:
+    if cache is None:
         return backend.run(request)
-    return resolved.load_or_run(backend, request)
+    return cache.load_or_run(backend, request)
 
 
 register_backend(

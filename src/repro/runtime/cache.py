@@ -20,12 +20,9 @@ to the code that computes it.  :class:`RunResultCache` exploits that:
 * requests that contain objects without a stable canonical form (e.g. a
   closure in ``options``) are *bypassed*, never mis-keyed.
 
-The cache is opt-in.  ``run_on_backend(..., cache=True)`` (or an
-explicit :class:`RunResultCache` instance) enables it per call, and
-setting ``REPRO_RUN_CACHE=1`` in the environment enables it for every
-``run_on_backend`` call that does not say otherwise —
-``REPRO_RUN_CACHE_DIR`` overrides the default location
-(``~/.cache/izhirisc-repro/runs``).
+The cache is opt-in: ``run_on_backend(..., cache=RunResultCache())``
+enables it per call.  ``REPRO_RUN_CACHE_DIR`` overrides the default
+location (``~/.cache/izhirisc-repro/runs``).
 """
 
 from __future__ import annotations
@@ -47,16 +44,8 @@ __all__ = [
     "RunResultCache",
     "UncacheableRequestError",
     "code_fingerprint",
-    "default_cache",
     "derive_cache_key",
-    "resolve_cache",
 ]
-
-#: Environment switch enabling the default cache for all ``run_on_backend``
-#: calls ("1" / "true" / "on" / "yes").
-ENV_ENABLE = "REPRO_RUN_CACHE"
-#: Environment override for the cache directory.
-ENV_DIR = "REPRO_RUN_CACHE_DIR"
 
 #: Bumped whenever the key derivation or the stored format changes.
 _FORMAT_VERSION = 1
@@ -176,7 +165,8 @@ class RunResultCache:
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
         if root is None:
-            root = os.environ.get(ENV_DIR) or Path.home() / ".cache" / "izhirisc-repro" / "runs"
+            default = Path.home() / ".cache" / "izhirisc-repro" / "runs"
+            root = os.environ.get("REPRO_RUN_CACHE_DIR") or default
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
@@ -214,36 +204,27 @@ class RunResultCache:
     def get(self, key: str, *, expect: Optional[type] = None) -> Optional[Any]:
         """Load a cached result (``None`` on miss or corrupt entry).
 
-        Checksummed entries (the format :meth:`put` writes) are verified
-        on every read: a payload whose SHA-256 does not match — bit rot,
-        torn write, tampering — is **quarantined** (renamed aside and
-        counted in :attr:`stats`) and reported as a miss.  Legacy
-        un-checksummed pickles are still readable; ones that fail to
-        unpickle are quarantined the same way.  With ``expect`` set, an
-        entry that unpickles to a different type — e.g. a foreign pickle
-        dropped into the cache directory, or an entry written by an
-        incompatible tool — is unlinked and reported as a miss, never
-        handed to the caller.
+        Every entry is verified on read: bytes without the :meth:`put`
+        framing, or a payload whose SHA-256 does not match — bit rot,
+        torn write, tampering — are **quarantined** (renamed aside and
+        counted in :attr:`stats`) and reported as a miss.  With
+        ``expect`` set, an entry that unpickles to a different type — an
+        entry written by an incompatible tool — is unlinked and reported
+        as a miss, never handed to the caller.
         """
         path = self._path(key)
         try:
             data = path.read_bytes()
-        except FileNotFoundError:
-            return None
         except OSError:
             return None
+        head = len(_ENTRY_MAGIC) + _SHA_BYTES
+        payload = data[head:]
         try:
-            if data.startswith(_ENTRY_MAGIC):
-                head = len(_ENTRY_MAGIC) + _SHA_BYTES
-                digest = data[len(_ENTRY_MAGIC) : head]
-                payload = data[head:]
-                if len(digest) < _SHA_BYTES or hashlib.sha256(payload).digest() != digest:
-                    raise ValueError("cache entry checksum mismatch")
-                result = pickle.loads(payload)
-            else:
-                # Pre-checksum entry (or foreign bytes): the unpickle
-                # itself is the only integrity check available.
-                result = pickle.loads(data)
+            if not data.startswith(_ENTRY_MAGIC) or (
+                hashlib.sha256(payload).digest() != data[len(_ENTRY_MAGIC) : head]
+            ):
+                raise ValueError("cache entry framing or checksum mismatch")
+            result = pickle.loads(payload)
         except Exception:
             self._quarantine(path)
             return None
@@ -312,45 +293,3 @@ class RunResultCache:
             "uncacheable": self.uncacheable,
             "quarantined": self.quarantined,
         }
-
-
-_DEFAULT: Optional[RunResultCache] = None
-
-
-def default_cache() -> RunResultCache:
-    """Process-wide cache instance honouring ``REPRO_RUN_CACHE_DIR``.
-
-    The environment is re-read on every call, so setting *or unsetting*
-    the directory override takes effect immediately (tests monkeypatch
-    it around individual cases).
-    """
-    global _DEFAULT
-    env_root = os.environ.get(ENV_DIR)
-    expected = Path(env_root) if env_root else Path.home() / ".cache" / "izhirisc-repro" / "runs"
-    if _DEFAULT is None or _DEFAULT.root != expected:
-        _DEFAULT = RunResultCache(expected)
-    return _DEFAULT
-
-
-def resolve_cache(
-    cache: Union[None, bool, str, Path, RunResultCache],
-) -> Optional[RunResultCache]:
-    """Resolve the ``cache`` argument of ``run_on_backend`` and the sweeps.
-
-    ``None`` defers to the ``REPRO_RUN_CACHE`` environment switch,
-    ``True``/``False`` force the default cache on/off, a string or
-    :class:`~pathlib.Path` selects an explicit store directory (the form
-    sweep workers receive, since a path crosses process boundaries
-    cheaply), and a :class:`RunResultCache` instance is used as-is.
-    """
-    if cache is None:
-        if os.environ.get(ENV_ENABLE, "").strip().lower() in ("1", "true", "on", "yes"):
-            return default_cache()
-        return None
-    if cache is False:
-        return None
-    if cache is True:
-        return default_cache()
-    if isinstance(cache, (str, Path)):
-        return RunResultCache(cache)
-    return cache

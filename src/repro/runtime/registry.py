@@ -23,9 +23,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
+from .cache import RunResultCache
 from .sweep import SweepExecutor, SweepReport
 from .workloads import (
-    CachePolicy,
     CSPPortfolioSweepConfig,
     PooledCSPSweepConfig,
     PooledSudokuSweepConfig,
@@ -56,7 +56,7 @@ def run_sweep_workload(
     config: Any = None,
     *,
     executor: Optional[SweepExecutor] = None,
-    cache: CachePolicy = False,
+    cache: Optional[RunResultCache] = None,
     **overrides: Any,
 ) -> SweepReport:
     """Run the workload ``name`` and return its :class:`SweepReport`.
@@ -66,7 +66,7 @@ def run_sweep_workload(
     :func:`dataclasses.replace`, so a typo'd parameter fails loudly.
     ``executor`` selects serial vs fabric execution for the pooled
     workloads (batched/served workloads run on the slot engine and
-    ignore it); ``cache`` is the resume/dedup store policy.
+    ignore it); ``cache`` is the resume/dedup store (``None`` = none).
     """
     try:
         config_type, driver = _WORKLOADS[name]

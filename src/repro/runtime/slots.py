@@ -203,9 +203,8 @@ class SlotEngine:
         batches) compiles the drives with
         :func:`~repro.runtime.drives.compile_batched_external`, keeping
         the per-replica fallback for uncompilable providers.
-    synapse_mode:
-        Forwarded to :meth:`BatchedNetwork.from_networks`; the solve
-        engines run ``"exact"``.
+
+    Batches are built in the bit-exact ``"exact"`` synapse mode.
     """
 
     def __init__(
@@ -215,7 +214,6 @@ class SlotEngine:
         window: int,
         check_interval: int,
         extendable: bool = True,
-        synapse_mode: str = "exact",
     ) -> None:
         if window < 1:
             raise ValueError("window must be positive")
@@ -225,7 +223,6 @@ class SlotEngine:
         self._window = int(window)
         self._check_interval = int(check_interval)
         self._extendable = bool(extendable)
-        self._synapse_mode = synapse_mode
 
         self._rows: List[SlotRow] = []
         self._batch: Optional[BatchedNetwork] = None
@@ -390,7 +387,6 @@ class SlotEngine:
             "window": int(self._window),
             "check_interval": int(self._check_interval),
             "extendable": bool(self._extendable),
-            "synapse_mode": self._synapse_mode,
         }
 
     def export_state(self, *, payloads: Optional[Sequence[Any]] = None) -> dict:
@@ -523,9 +519,7 @@ class SlotEngine:
             provider = PortfolioAnnealedDrive(annealed_specs(networks))
         else:
             provider = compile_batched_external(networks)
-        return BatchedNetwork.from_networks(
-            networks, synapse_mode=self._synapse_mode, batched_external=provider
-        )
+        return BatchedNetwork.from_networks(networks, batched_external=provider)
 
     def _reset_arrays(self) -> None:
         if self._num_neurons is None:

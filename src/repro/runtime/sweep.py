@@ -64,7 +64,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .cache import RunResultCache, derive_cache_key, resolve_cache
+from .cache import RunResultCache, derive_cache_key
 
 __all__ = [
     "SweepSpec",
@@ -137,12 +137,9 @@ class SweepSpec:
         Seconds a lease may go without progress before its unfinished
         tasks are re-enqueued (and its worker presumed stalled).
     cache:
-        Resume/dedup store: ``None`` honours ``REPRO_RUN_CACHE``,
-        ``True``/``False`` force the default on-disk cache on/off, a
-        :class:`RunResultCache` or a directory path selects an explicit
-        store.  Completed tasks are keyed with
-        :func:`sweep_task_key`; re-runs and overlapping sweeps skip
-        them.
+        Resume/dedup store (``None`` = no cache).  Completed tasks are
+        keyed with :func:`sweep_task_key`; re-runs and overlapping
+        sweeps skip them.
     """
 
     fn: Callable[[SweepTask], Any] = None  # type: ignore[assignment]
@@ -152,7 +149,7 @@ class SweepSpec:
     base_seed: int = 0
     chunk_size: Optional[int] = None
     lease_timeout: float = 60.0
-    cache: Union[None, bool, str, Path, RunResultCache] = False
+    cache: Optional[RunResultCache] = None
 
     def __post_init__(self) -> None:
         if self.fn is None or not callable(self.fn):
@@ -449,20 +446,10 @@ class SweepExecutor:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def make_tasks(
-        param_sets: Sequence[Mapping[str, Any]], *, base_seed: int = 0
-    ) -> List[SweepTask]:
-        """Materialise a parameter sweep's task list (see :meth:`SweepSpec.tasks`)."""
-        return [
-            SweepTask(index=i, seed=derive_task_seed(base_seed, i), params=dict(params))
-            for i, params in enumerate(param_sets)
-        ]
-
     def execute(self, spec: SweepSpec) -> SweepReport:
         """Execute every task of ``spec``; the report's results are in task order."""
         tasks = spec.tasks()
-        cache = resolve_cache(spec.cache)
+        cache = spec.cache
         if not tasks:
             return SweepReport(results=[], records=[], mode="serial", num_workers=0, elapsed=0.0)
         if self.mode == "serial" or len(tasks) == 1:
@@ -758,8 +745,6 @@ class SweepExecutor:
                 spawn_worker()
 
             poll = max(0.02, min(0.25, spec.lease_timeout / 4.0))
-            _debug = bool(os.environ.get("REPRO_SWEEP_DEBUG"))
-            _last_dbg = 0.0
             while len(completed) < len(tasks):
                 if interrupted:
                     drain_interrupted(poll)
@@ -767,15 +752,6 @@ class SweepExecutor:
                         f"sweep interrupted by signal {interrupted[0]}; "
                         f"{len(completed)}/{len(tasks)} task results retained "
                         "(cached tasks resume on re-run)"
-                    )
-                if _debug and time.monotonic() - _last_dbg > 1.0:
-                    _last_dbg = time.monotonic()
-                    print(
-                        f"[fabric] done={len(completed)}/{len(tasks)} "
-                        f"chunks={dict((c, sorted(t)) for c, t in chunk_tasks.items())} "
-                        f"leases={leases} worker_chunk={worker_chunk} "
-                        f"workers={list(workers)} counters={counters}",
-                        flush=True,
                     )
                 blob = _poll_get(result_queue, poll)
                 if blob is not None:

@@ -16,7 +16,7 @@ Two sweep families cover the paper's evaluation workloads:
 
 The four pooled/batched sweep drivers here (``pooled_sudoku_sweep``,
 ``pooled_csp_sweep``, ``csp_portfolio_sweep``, ``serve_load_sweep``)
-share one shape: ``driver(config, *, executor=None, cache=False) ->
+share one shape: ``driver(config, *, executor=None, cache=None) ->
 SweepReport``, where ``config`` is the driver's frozen config dataclass
 (defined next to it) and the report's ``summary`` holds the workload's
 summary dict.  :mod:`repro.runtime.registry` names them for
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from ..snn.eighty_twenty import EightyTwentyConfig
 from ..snn.network import SNNNetwork
 from .batch import BatchedNetwork
 from .backends import RunRequest, RunResult, eighty_twenty_config, get_backend, run_on_backend
-from .cache import RunResultCache, resolve_cache
+from .cache import RunResultCache
 from .drives import compile_batched_external
 from .sweep import (
     SweepExecutor,
@@ -161,7 +160,6 @@ def eighty_twenty_seed_sweep(
     current_mode: str = "recompute",
     batched: bool = True,
     fused: bool = False,
-    noise_seed: Optional[int] = None,
 ) -> SeedSweepResult:
     """Run the 80-20 network once per seed and summarise every raster.
 
@@ -174,10 +172,8 @@ def eighty_twenty_seed_sweep(
         With ``batched=True``, additionally vectorise the synaptic
         propagation and the thalamic noise across the batch (the
         high-throughput mode; see :mod:`repro.runtime.batch` for the
-        exactness trade-off).
-    noise_seed:
-        Seed of the batch noise generator in fused mode (defaults to the
-        first sweep seed).
+        exactness trade-off); the batch noise generator is seeded with
+        the first sweep seed.
     """
     seeds = [int(s) for s in seeds]
     networks = build_eighty_twenty_replicas(
@@ -187,9 +183,7 @@ def eighty_twenty_seed_sweep(
         rasters = [net.run(num_steps) for net in networks]
     elif fused:
         configs = [eighty_twenty_config(num_neurons, seed) for seed in seeds]
-        provider = batched_thalamic_provider(
-            configs, seed=noise_seed if noise_seed is not None else seeds[0]
-        )
+        provider = batched_thalamic_provider(configs, seed=seeds[0])
         batch = BatchedNetwork.from_networks(
             networks, synapse_mode="fused", batched_external=provider
         )
@@ -247,9 +241,6 @@ def run_many_on_backend(
     param_sets = [{"backend": name, "request": request, "cache": cache} for request in requests]
     spec = SweepSpec(fn=_run_request_task, param_sets=param_sets)
     return executor.execute(spec).results
-
-
-CachePolicy = Union[None, bool, str, Path, RunResultCache]
 
 
 def _engine_report(
@@ -317,7 +308,7 @@ def pooled_sudoku_sweep(
     config: PooledSudokuSweepConfig,
     *,
     executor: Optional[SweepExecutor] = None,
-    cache: CachePolicy = False,
+    cache: Optional[RunResultCache] = None,
 ) -> SweepReport:
     """Solve ``config.count`` generated puzzles, optionally over the sweep fabric.
 
@@ -419,7 +410,7 @@ def pooled_csp_sweep(
     config: PooledCSPSweepConfig,
     *,
     executor: Optional[SweepExecutor] = None,
-    cache: CachePolicy = False,
+    cache: Optional[RunResultCache] = None,
 ) -> SweepReport:
     """Solve ``config.count`` generated CSP instances, optionally over the fabric.
 
@@ -494,7 +485,7 @@ def csp_portfolio_sweep(
     config: CSPPortfolioSweepConfig,
     *,
     executor: Optional[SweepExecutor] = None,
-    cache: CachePolicy = False,
+    cache: Optional[RunResultCache] = None,
 ) -> SweepReport:
     """Solve ``config.count`` generated instances with a restart portfolio.
 
@@ -574,7 +565,7 @@ def serve_load_sweep(
     config: ServeLoadSweepConfig,
     *,
     executor: Optional[SweepExecutor] = None,
-    cache: CachePolicy = False,
+    cache: Optional[RunResultCache] = None,
 ) -> SweepReport:
     """Drive a seeded open-loop workload through a :class:`SolveService`.
 
@@ -585,9 +576,7 @@ def serve_load_sweep(
     exact-mode batch (:mod:`repro.serve`).  The service runs on its
     deterministic step clock, so the summary — including shed counts and
     latency percentiles — is exactly reproducible for a given seed.
-    ``cache`` (resolved through
-    :func:`~repro.runtime.cache.resolve_cache`) is the service's result
-    cache; ``executor`` is ignored.
+    ``cache`` is the service's result cache; ``executor`` is ignored.
 
     The report's results are the served rows (``(client, pool_index,
     ServeResult-or-None)``); its summary adds the final
@@ -617,7 +606,7 @@ def serve_load_sweep(
         backend=config.backend,
         check_interval=config.check_interval,
         seed=config.seed,
-        cache=resolve_cache(cache),
+        cache=cache,
         clock="steps",
         default_max_steps=config.max_steps,
     )

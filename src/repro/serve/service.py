@@ -246,16 +246,10 @@ class SolveService:
         Optional :class:`~repro.runtime.cache.RunResultCache` persisting
         results across service instances; corrupt or wrong-typed entries
         are treated as misses.
-    memoize:
-        Keep an in-memory result memo for repeat requests (LRU-bounded).
     clock:
-        ``"monotonic"`` (wall time), ``"steps"`` (deterministic:
-        ``global step * step_seconds`` — what the fault-injection and
-        metrics tests use), or any zero-argument callable.
-    yield_steps:
-        Scheduler steps advanced between asyncio yields (defaults to
-        ``check_interval``): the granularity at which new submissions,
-        cancellations and step-waiters are noticed.
+        ``"monotonic"`` (wall time) or ``"steps"`` (deterministic:
+        ``global step * STEP_SECONDS`` — what the fault-injection and
+        metrics tests use).
     checkpoint_dir / checkpoint_every:
         With a directory set, the live engine state (plus every running
         ticket's identity) is snapshotted crash-safely every
@@ -268,13 +262,27 @@ class SolveService:
     fault:
         A :class:`~repro.runtime.checkpoint.FaultPlan` injecting
         deterministic crashes / torn writes for the chaos suites.
-    recover:
-        On construction, restore the newest readable checkpoint and
-        re-enqueue unfinished journaled admissions (default).  Recovered
-        work re-runs under its content-derived seed, so results are
-        bit-identical to the uninterrupted run; the supervisor
-        (:mod:`repro.serve.supervisor`) collects them by resubmission.
+
+    With a checkpoint directory or a journal, construction restores the
+    newest readable checkpoint and re-enqueues unfinished journaled
+    admissions.  Recovered work re-runs under its content-derived seed,
+    so results are bit-identical to the uninterrupted run; the
+    supervisor (:mod:`repro.serve.supervisor`) collects them by
+    resubmission.
+
+    Repeat requests are served from an in-memory LRU memo of
+    :attr:`MEMO_LIMIT` results; graphs share synapse builds through an
+    LRU of :attr:`SYNAPSE_CACHE_SIZE` entries.  The scheduler yields to
+    asyncio every ``check_interval`` steps, the granularity at which new
+    submissions, cancellations and step-waiters are noticed.
     """
+
+    #: Results kept in the in-memory memo (LRU).
+    MEMO_LIMIT = 4096
+    #: Shared synapse builds kept per graph digest (LRU).
+    SYNAPSE_CACHE_SIZE = 64
+    #: Seconds per global step under ``clock="steps"``.
+    STEP_SECONDS = 1e-3
 
     def __init__(
         self,
@@ -287,17 +295,11 @@ class SolveService:
         default_max_steps: int = 3000,
         seed: int = 0,
         cache: Optional[RunResultCache] = None,
-        memoize: bool = True,
-        memo_limit: int = 4096,
-        clock: Union[str, Callable[[], float]] = "monotonic",
-        step_seconds: float = 1e-3,
-        yield_steps: Optional[int] = None,
-        synapse_cache_size: int = 64,
+        clock: str = "monotonic",
         checkpoint_dir: Union[str, "Path", None] = None,
         checkpoint_every: Optional[int] = None,
         journal_path: Union[str, "Path", None] = None,
         fault: Optional[FaultPlan] = None,
-        recover: bool = True,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
@@ -313,17 +315,11 @@ class SolveService:
         self._default_max_steps = int(default_max_steps)
         self._seed = int(seed)
         self._cache = cache
-        self._memoize = memoize
-        self._memo_limit = int(memo_limit)
-        self._yield_steps = int(yield_steps) if yield_steps is not None else self._check_interval
-        self._synapse_cache_size = int(synapse_cache_size)
         if clock == "monotonic":
             # reprolint: disable-next-line=RL002 -- injectable-clock seam (SolveService(clock=...))
             self._clock: Callable[[], float] = time.monotonic
         elif clock == "steps":
-            self._clock = lambda: self._step * float(step_seconds)
-        elif callable(clock):
-            self._clock = clock
+            self._clock = lambda: self._step * self.STEP_SECONDS
         else:
             raise ValueError(f"unknown clock {clock!r}")
 
@@ -378,7 +374,7 @@ class SolveService:
             from .journal import AdmissionJournal
 
             self._journal = AdmissionJournal(journal_path, fault=fault)
-        if recover and (store is not None or self._journal is not None):
+        if store is not None or self._journal is not None:
             self._recover()
 
     # ------------------------------------------------------------------ #
@@ -652,7 +648,7 @@ class SolveService:
     def _lookup_cached(self, key: Optional[str]) -> Optional[CSPSolveResult]:
         if key is None:
             return None
-        if self._memoize and key in self._memo:
+        if key in self._memo:
             self._memo.move_to_end(key)
             return self._memo[key]
         if self._cache is not None:
@@ -665,11 +661,9 @@ class SolveService:
         return None
 
     def _remember(self, key: str, result: CSPSolveResult) -> None:
-        if not self._memoize:
-            return
         self._memo[key] = result
         self._memo.move_to_end(key)
-        while len(self._memo) > self._memo_limit:
+        while len(self._memo) > self.MEMO_LIMIT:
             self._memo.popitem(last=False)
 
     def _store(self, key: Optional[str], result: CSPSolveResult) -> None:
@@ -903,7 +897,7 @@ class SolveService:
         if ticket.graph_digest is not None:
             self._synapses[ticket.graph_digest] = solver.synapses
             self._synapses.move_to_end(ticket.graph_digest)
-            while len(self._synapses) > self._synapse_cache_size:
+            while len(self._synapses) > self.SYNAPSE_CACHE_SIZE:
                 self._synapses.popitem(last=False)
         return solver.build_network(ticket.clamps)
 
@@ -999,7 +993,7 @@ class SolveService:
                     continue  # a submit landed between the checks
                 await self._wake.wait()
                 continue
-            for _ in range(self._yield_steps):
+            for _ in range(self._check_interval):
                 # The engine's own loop body: ServePolicy decides, the
                 # checkpointer snapshots and injects the crash.
                 self._metrics.record_step(self._engine.num_rows)

@@ -103,27 +103,24 @@ class ServeSupervisor:
     fault:
         Optional :class:`~repro.runtime.checkpoint.FaultPlan`, armed in
         the **first** child incarnation only.
-    max_restarts:
-        Respawns tolerated before pending requests fail with
-        :class:`SupervisorError`.
-    backoff_base / backoff_cap:
-        Respawn delay: ``min(cap, base * 2**restarts)`` seconds.
+
+    After :attr:`MAX_RESTARTS` respawns, pending requests fail with
+    :class:`SupervisorError`.  Respawn ``k`` (0-based) waits
+    ``min(BACKOFF_CAP, BACKOFF_BASE * 2**k)`` seconds.
     """
+
+    MAX_RESTARTS = 5
+    BACKOFF_BASE = 0.05
+    BACKOFF_CAP = 2.0
 
     def __init__(
         self,
         *,
         service_kwargs: Optional[Dict[str, Any]] = None,
         fault: Optional[Any] = None,
-        max_restarts: int = 5,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
     ) -> None:
         self._service_kwargs = dict(service_kwargs or {})
         self._fault = fault
-        self._max_restarts = int(max_restarts)
-        self._backoff_base = float(backoff_base)
-        self._backoff_cap = float(backoff_cap)
         self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.RLock()
         self._process = None
@@ -196,14 +193,14 @@ class ServeSupervisor:
             with self._lock:
                 if self._stopped.is_set():
                     return
-                if self.restarts >= self._max_restarts:
+                if self.restarts >= self.MAX_RESTARTS:
                     self._fail_pending(
                         SupervisorError(
                             f"service died {self.restarts + 1} times; giving up"
                         )
                     )
                     return
-                delay = min(self._backoff_cap, self._backoff_base * (2**self.restarts))
+                delay = min(self.BACKOFF_CAP, self.BACKOFF_BASE * (2**self.restarts))
                 self.restarts += 1
                 self.backoffs.append(delay)
             time.sleep(delay)

@@ -104,7 +104,7 @@ class TestRestartsDisabledBitIdentity:
         port = solve_instances_portfolio(
             instances,
             seeds=seeds,
-            portfolio=PortfolioConfig(restarts=False),
+            portfolio=PortfolioConfig(schedule="fixed", base_budget=1200, max_attempts=1),
             max_steps=1200,
             check_interval=10,
         )
@@ -128,7 +128,7 @@ class TestRestartsDisabledBitIdentity:
         port = solve_instances_portfolio(
             instances,
             seeds=[3, 4],
-            portfolio=PortfolioConfig(restarts=False),
+            portfolio=PortfolioConfig(schedule="fixed", base_budget=30, max_attempts=1),
             max_steps=30,
             check_interval=10,
         )
@@ -142,12 +142,12 @@ class TestRestartsDisabledBitIdentity:
         explicit = solve_instances_portfolio(
             instances,
             seeds=[derive_attempt_seed(9, i, 1) for i in range(3)],
-            portfolio=PortfolioConfig(restarts=False, seed=9),
+            portfolio=PortfolioConfig(schedule="fixed", base_budget=400, max_attempts=1, seed=9),
             max_steps=400,
         )
         derived = solve_instances_portfolio(
             instances,
-            portfolio=PortfolioConfig(restarts=False, seed=9),
+            portfolio=PortfolioConfig(schedule="fixed", base_budget=400, max_attempts=1, seed=9),
             max_steps=400,
         )
         for e, d in zip(explicit, derived):
@@ -296,7 +296,7 @@ class TestEdgeShapes:
         instances = _hard_coloring_pool(4, num_vertices=10, edge_probability=0.7)
         results = solve_instances_portfolio(
             instances,
-            portfolio=PortfolioConfig(restarts=False),
+            portfolio=PortfolioConfig(schedule="fixed", base_budget=1500, max_attempts=1),
             max_steps=1500,
             slots=2,
         )

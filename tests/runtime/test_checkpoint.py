@@ -267,6 +267,40 @@ def test_torn_final_snapshot_degrades_to_previous_good_one(tmp_path):
     _assert_results_identical(resumed, solve_instances(_instances(), **SOLVE_KW))
 
 
+def test_version_1_snapshot_is_skipped_not_fatal(tmp_path, monkeypatch):
+    """A snapshot from the format-1 era (its engine config still carried
+    ``synapse_mode``) is skipped and counted; the solve runs fresh."""
+    import repro.runtime.checkpoint as checkpoint_mod
+
+    current = CheckpointStore(tmp_path / "v2", kind="csp-solve")
+    solve_instances(
+        _instances(), **SOLVE_KW, checkpoint_dir=current.root, checkpoint_every=50
+    )
+    step = current.steps()[0]
+    payload = read_checkpoint(current._path(step), kind="csp-solve")
+    payload["engine"]["config"]["synapse_mode"] = "exact"
+    old = CheckpointStore(tmp_path / "v1", kind="csp-solve")
+    monkeypatch.setattr(checkpoint_mod, "CHECKPOINT_VERSION", 1)
+    old.save(step, payload)
+    monkeypatch.undo()
+
+    stores = []
+
+    class RecordingStore(CheckpointStore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            stores.append(self)
+
+    monkeypatch.setattr(checkpoint_mod, "CheckpointStore", RecordingStore)
+    resumed = solve_instances(
+        _instances(), **SOLVE_KW, checkpoint_dir=old.root, checkpoint_every=50
+    )
+    (store,) = stores
+    assert len(store.failures) == 1
+    assert isinstance(store.failures[0][1], CheckpointVersionError)
+    _assert_results_identical(resumed, solve_instances(_instances(), **SOLVE_KW))
+
+
 def test_zero_budget_checkpointed_solve_is_the_empty_decode(tmp_path):
     plain = solve_instances(_instances(), seed=5, max_steps=0)
     checkpointed = solve_instances(

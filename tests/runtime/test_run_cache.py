@@ -79,18 +79,6 @@ class TestCacheServesRepeatedRuns:
         run_on_backend("counting-test", request)
         assert counting_backend.runs == 2
 
-    def test_env_switch_enables_default_cache(self, counting_backend, tmp_path, monkeypatch):
-        import repro.runtime.cache as cache_mod
-
-        monkeypatch.setenv("REPRO_RUN_CACHE", "1")
-        monkeypatch.setenv("REPRO_RUN_CACHE_DIR", str(tmp_path / "env-cache"))
-        monkeypatch.setattr(cache_mod, "_DEFAULT", None)
-        request = RunRequest(num_neurons=10, num_steps=5, seed=3)
-        run_on_backend("counting-test", request)
-        run_on_backend("counting-test", request)
-        assert counting_backend.runs == 1
-        assert (tmp_path / "env-cache").is_dir()
-
     def test_uncacheable_options_bypass_cleanly(self, counting_backend, tmp_path):
         cache = RunResultCache(tmp_path)
         request = RunRequest(num_neurons=10, num_steps=5, seed=3, options={"hook": lambda: 1})
@@ -111,6 +99,23 @@ class TestCacheServesRepeatedRuns:
         assert counting_backend.runs == 2
         assert result.total_spikes == 30
         assert not path.read_bytes() == b"not a pickle"  # rewritten
+
+    def test_unframed_pickle_is_quarantined(self, counting_backend, tmp_path):
+        # Bytes without the checksummed framing ``put`` writes cannot be
+        # a live entry (keys cover the code fingerprint), even when they
+        # unpickle to the expected type.
+        cache = RunResultCache(tmp_path)
+        request = RunRequest(num_neurons=10, num_steps=5, seed=3)
+        key = cache.key_for("counting-test", request)
+        path = cache._path(key)
+        path.parent.mkdir(parents=True)
+        planted = RunResult(backend="counting-test", workload="w", num_steps=5, total_spikes=-1)
+        path.write_bytes(pickle.dumps(planted))
+        assert cache.get(key, expect=RunResult) is None
+        assert cache.quarantined == 1
+        result = run_on_backend("counting-test", request, cache=cache)
+        assert result.total_spikes == 30
+        assert counting_backend.runs == 1
 
     def test_clear_empties_the_store(self, counting_backend, tmp_path):
         cache = RunResultCache(tmp_path)
@@ -173,16 +178,12 @@ class TestKeyDerivation:
         assert len(token["__mapping__"]) == 2
 
     def test_unsetting_env_dir_restores_default_root(self, tmp_path, monkeypatch):
-        import repro.runtime.cache as cache_mod
-        from repro.runtime.cache import default_cache
-
-        monkeypatch.setattr(cache_mod, "_DEFAULT", None)
         monkeypatch.setenv("REPRO_RUN_CACHE_DIR", str(tmp_path))
-        assert default_cache().root == tmp_path
+        assert RunResultCache().root == tmp_path
         monkeypatch.delenv("REPRO_RUN_CACHE_DIR")
         from pathlib import Path
 
-        assert default_cache().root == Path.home() / ".cache" / "izhirisc-repro" / "runs"
+        assert RunResultCache().root == Path.home() / ".cache" / "izhirisc-repro" / "runs"
 
     def test_request_dataclass_tokenises(self):
         token = _token(RunRequest(num_neurons=8, num_steps=2, seed=1))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.runtime import SweepExecutor, SweepSpec, sweep_task_key
+from repro.runtime import RunResultCache, SweepExecutor, SweepSpec, sweep_task_key
 
 
 pytestmark = pytest.mark.slow
@@ -144,11 +144,15 @@ class TestCacheResume:
         cache_dir = tmp_path / "cache"
         params = [{"x": i} for i in range(6)]
         first = SweepExecutor().execute(
-            SweepSpec(fn=_echo_task, param_sets=params[:3], base_seed=7, cache=cache_dir)
+            SweepSpec(
+                fn=_echo_task, param_sets=params[:3], base_seed=7, cache=RunResultCache(cache_dir)
+            )
         )
         assert first.cache_stores == 3 and first.cache_hits == 0
         resumed = SweepExecutor(mode="process", max_workers=2).execute(
-            SweepSpec(fn=_echo_task, param_sets=params, base_seed=7, cache=cache_dir)
+            SweepSpec(
+                fn=_echo_task, param_sets=params, base_seed=7, cache=RunResultCache(cache_dir)
+            )
         )
         assert resumed.cache_hits == 3
         assert resumed.cache_stores == 3
@@ -166,7 +170,7 @@ class TestCacheResume:
             base_seed=31,
             chunk_size=1,
             lease_timeout=30.0,
-            cache=cache_dir,
+            cache=RunResultCache(cache_dir),
         )
         crashed = SweepExecutor(mode="process", max_workers=2).execute(spec)
         assert crashed.worker_deaths >= 1
@@ -182,13 +186,13 @@ class TestCacheResume:
     def test_overlapping_sweeps_share_cache_entries(self, tmp_path):
         cache_dir = tmp_path / "cache"
         first = SweepExecutor().execute(
-            SweepSpec(fn=_echo_task, seeds=[11, 22, 33], cache=cache_dir)
+            SweepSpec(fn=_echo_task, seeds=[11, 22, 33], cache=RunResultCache(cache_dir))
         )
         assert first.cache_stores == 3
         # Seeds 22 and 33 sit at different indices here; the key excludes
         # the index, so the overlap still dedupes.
         second = SweepExecutor().execute(
-            SweepSpec(fn=_echo_task, seeds=[22, 33, 44], cache=cache_dir)
+            SweepSpec(fn=_echo_task, seeds=[22, 33, 44], cache=RunResultCache(cache_dir))
         )
         assert second.cache_hits == 2
         assert second.cache_stores == 1
@@ -196,14 +200,16 @@ class TestCacheResume:
 
     def test_none_results_are_cached_not_recomputed(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        spec = SweepSpec(fn=_none_task, seeds=[1, 2], cache=cache_dir)
+        spec = SweepSpec(fn=_none_task, seeds=[1, 2], cache=RunResultCache(cache_dir))
         assert SweepExecutor().execute(spec).cache_stores == 2
         rerun = SweepExecutor().execute(spec)
         assert rerun.cache_hits == 2
         assert rerun.results == [None, None]
 
     def test_unstable_callables_count_as_uncacheable(self, tmp_path):
-        spec = SweepSpec(fn=lambda task: task.seed, seeds=[1, 2], cache=tmp_path / "c")
+        spec = SweepSpec(
+            fn=lambda task: task.seed, seeds=[1, 2], cache=RunResultCache(tmp_path / "c")
+        )
         report = SweepExecutor().execute(spec)
         assert report.cache_uncacheable == 2
         assert report.cache_stores == 0

@@ -248,7 +248,7 @@ def test_supervisor_kill9_delivers_bit_identical_results(tmp_path):
     instances = _request_instances(count)
     results = {}
 
-    with ServeSupervisor(service_kwargs=service_kwargs, max_restarts=5) as supervisor:
+    with ServeSupervisor(service_kwargs=service_kwargs) as supervisor:
 
         def worker(index, instance):
             results[index] = supervisor.submit(

@@ -103,8 +103,6 @@ class WorkerHygieneConfig:
 
     #: Constructors whose ``fn`` argument is a sweep task function.
     spec_names: Tuple[str, ...] = ("SweepSpec",)
-    #: Executor methods whose first argument is a task function.
-    executor_methods: Tuple[str, ...] = ("run", "map_seeds")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The fused batch engine's bit-exactness proof (see
 ``runtime/batch.py``) rests on regions whose arithmetic is pure
 int64: the Q15.16 integer-CSR propagation, the fixed-point Izhikevich
-substep and the :mod:`repro.fixedpoint` op kernels.  One stray float
+substep and the :mod:`repro.fixedpoint` VU-word packing.  One stray float
 literal, true division or ``astype(float)`` silently turns "exact in
 any summation order" into "ULP-dependent", and no test catches it until
 a differential suite happens to cross the changed path.
