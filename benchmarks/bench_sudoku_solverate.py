@@ -7,8 +7,8 @@ full suite stays fast; increase ``count`` for a fuller sweep.
 
 The sweep executes on the batched runtime: all puzzles advance together
 through :meth:`SNNSudokuSolver.solve_batch` on one stacked ``(B, 729)``
-network, producing results bit-identical to the sequential per-puzzle
-loop (the pre-runtime behaviour, still reachable with ``batched=False``).
+network, producing results bit-identical to one sequential
+:meth:`SNNSudokuSolver.solve` per puzzle.
 """
 
 from repro.harness import format_table, sudoku_solve_rate
@@ -16,7 +16,7 @@ from repro.harness import format_table, sudoku_solve_rate
 
 def test_sudoku_snn_solve_rate(benchmark):
     result = benchmark.pedantic(
-        lambda: sudoku_solve_rate(count=2, max_steps=8000, target_clues=34, batched=True),
+        lambda: sudoku_solve_rate(count=2, max_steps=8000, target_clues=34),
         rounds=1,
         iterations=1,
     )

@@ -1,17 +1,17 @@
 """Work-stealing sweep fabric: scaling and crash-resume benchmark.
 
-Runs the registered ``pooled-csp`` workload once with the serial executor
-and once over the process fabric (all cores by default) on the *same*
-:class:`~repro.runtime.sweep.SweepSpec`-derived task set, asserting the
-two summaries are identical (the fabric never changes results, only
-wall clock) and gating the parallel efficiency::
+Runs :func:`repro.harness.csp_solve_rate` with one standalone solve per
+fabric task, once with the serial executor and once over the process
+fabric (all cores by default) on the *same* task set, asserting the
+per-instance results are identical (the fabric never changes results,
+only wall clock) and gating the parallel efficiency::
 
     efficiency = (serial_seconds / fabric_seconds) / min(workers, count)
 
 With ``SWEEP_BENCH_RESUME=1`` (default) it also exercises the
 crash-resume contract: a partial sweep populates the ``RunResultCache``,
 the full re-run must serve exactly those tasks from cache and reproduce
-the uncached summary verbatim.
+the uncached per-instance results verbatim.
 
 Emits ``BENCH_sweep.json`` (override with ``BENCH_SWEEP_JSON``);
 ``tools/check_bench_regression.py`` compares it against the committed
@@ -37,8 +37,8 @@ import shutil
 import tempfile
 import time
 
-from repro.harness import format_table
-from repro.runtime import RunResultCache, SweepExecutor, run_sweep_workload
+from repro.harness import csp_solve_rate, format_table
+from repro.runtime import RunResultCache, SweepExecutor
 
 COUNT = int(os.environ.get("SWEEP_BENCH_COUNT", "12"))
 MAX_STEPS = int(os.environ.get("SWEEP_BENCH_MAX_STEPS", "1500"))
@@ -75,13 +75,22 @@ def _merge_into_json(updates):
     print(f"Wrote {JSON_PATH}")
 
 
+def _outcomes(summary):
+    """Per-instance ``(solved, steps, total_spikes, values)`` of one run."""
+    return [(r.solved, r.steps, r.total_spikes, r.values.tolist()) for r in summary["results"]]
+
+
+def _solve(executor, cache=None, **overrides):
+    return csp_solve_rate(executor=executor, cache=cache, **{**WORKLOAD_KWARGS, **overrides})
+
+
 def _best_of(run, rounds):
-    """Best wall-clock report of ``rounds`` runs; summaries must agree."""
+    """Best wall-clock run of ``rounds``; per-instance results must agree."""
     best = run()
     for _ in range(max(0, rounds - 1)):
         repeat = run()
-        assert repeat.summary == best.summary  # deterministic workload
-        if repeat.elapsed < best.elapsed:
+        assert _outcomes(repeat) == _outcomes(best)  # deterministic workload
+        if repeat["sweep"].elapsed < best["sweep"].elapsed:
             best = repeat
     return best
 
@@ -93,51 +102,38 @@ def _run_resume_check():
         partial = max(1, COUNT // 2)
         executor = SweepExecutor(mode="process", max_workers=WORKERS)
         started = time.perf_counter()
-        run_sweep_workload(
-            "pooled-csp",
-            count=partial,
-            max_steps=MAX_STEPS,
-            scenario_params=WORKLOAD_KWARGS["scenario_params"],
-            executor=executor,
-            cache=RunResultCache(cache_dir),
-        )
+        _solve(executor, RunResultCache(cache_dir), count=partial)
         partial_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        resumed = run_sweep_workload(
-            "pooled-csp",
-            executor=SweepExecutor(mode="process", max_workers=WORKERS),
-            cache=RunResultCache(cache_dir),
-            **WORKLOAD_KWARGS,
+        resumed = _solve(
+            SweepExecutor(mode="process", max_workers=WORKERS), RunResultCache(cache_dir)
         )
         resumed_seconds = time.perf_counter() - started
-        assert resumed.cache_hits == partial, (
-            f"resume served {resumed.cache_hits} tasks from cache, expected {partial}"
+        cache_hits = resumed["sweep"].cache_hits
+        assert cache_hits == partial, (
+            f"resume served {cache_hits} tasks from cache, expected {partial}"
         )
-        uncached = run_sweep_workload("pooled-csp", **WORKLOAD_KWARGS)
-        assert resumed.summary == uncached.summary  # resume is bit-identical
+        uncached = _solve(SweepExecutor())
+        assert _outcomes(resumed) == _outcomes(uncached)  # resume is bit-identical
         return {
             "partial_tasks": partial,
             "partial_seconds": partial_seconds,
             "resumed_seconds": resumed_seconds,
-            "cache_hits": resumed.cache_hits,
-            "cache_hit_fraction": resumed.cache_hits / COUNT,
+            "cache_hits": cache_hits,
+            "cache_hit_fraction": cache_hits / COUNT,
         }
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
 
 def test_sweep_fabric_scaling(benchmark):
-    serial = _best_of(lambda: run_sweep_workload("pooled-csp", **WORKLOAD_KWARGS), ROUNDS)
-    fabric = _best_of(
-        lambda: run_sweep_workload(
-            "pooled-csp",
-            executor=SweepExecutor(mode="process", max_workers=WORKERS),
-            **WORKLOAD_KWARGS,
-        ),
-        ROUNDS,
+    serial_run = _best_of(lambda: _solve(SweepExecutor()), ROUNDS)
+    fabric_run = _best_of(
+        lambda: _solve(SweepExecutor(mode="process", max_workers=WORKERS)), ROUNDS
     )
     # The fabric reorders scheduling, never results.
-    assert fabric.summary == serial.summary
+    assert _outcomes(fabric_run) == _outcomes(serial_run)
+    serial, fabric = serial_run["sweep"], fabric_run["sweep"]
 
     ideal = min(WORKERS, COUNT)
     speedup = serial.elapsed / fabric.elapsed if fabric.elapsed > 0 else 0.0
@@ -154,7 +150,7 @@ def test_sweep_fabric_scaling(benchmark):
             "workers": WORKERS,
             "chunk_size": fabric.chunk_size,
             # Deterministic outcomes.
-            "solve_rate": serial.summary["solve_rate"],
+            "solve_rate": serial_run["solve_rate"],
             # Wall-clock scaling (best of ROUNDS).
             "serial_seconds": serial.elapsed,
             "fabric_seconds": fabric.elapsed,
@@ -202,10 +198,6 @@ def test_sweep_fabric_scaling(benchmark):
             ),
         )
     )
-    # The consolidated BENCH-history view the nightly artifact tracks.
-    view = fabric.bench_view()
-    print("bench view:", ", ".join(sorted(view["bench"])) or "(no BENCH files)")
-
     _merge_into_json(payload)
     benchmark.extra_info.update(
         {

@@ -27,9 +27,9 @@ Subpackages
 ``repro.harness``
     Experiment drivers that regenerate every table and figure of the paper.
 ``repro.runtime``
-    Batched multi-network runtime: the ``SimBackend`` registry over the
-    four execution paths, the vectorised ``(B, N)`` batch engine and the
-    process-pool ``SweepExecutor`` (see ``docs/RUNTIME.md``).
+    Batched multi-network runtime: the vectorised ``(B, N)`` batch
+    engine, the slot engine, the work-stealing ``SweepExecutor``, the
+    result cache and checkpoints (see ``docs/RUNTIME.md``).
 ``repro.csp``
     Generic spiking constraint solver: WTA domain encoding, scenario
     generators and the restart-portfolio engine (see ``docs/CSP.md``).

@@ -28,7 +28,7 @@ import numpy as np
 from ..isa.assembler import Program, assemble
 from ..sim.functional import FunctionalSimulator
 from ..sim.memory import DEFAULT_MEMORY_MAP, Memory
-from ..snn.eighty_twenty import EightyTwentyConfig, build_eighty_twenty
+from ..snn.eighty_twenty import build_eighty_twenty, eighty_twenty_config
 from ..sudoku.board import SudokuBoard
 from ..sudoku.wta import WTAConfig, build_wta_synapses, neuron_index, NUM_NEURONS as WTA_NEURONS
 from .kernels import kernel_source
@@ -123,10 +123,7 @@ def build_eighty_twenty_workload(
     """
     if num_neurons < 5:
         raise ValueError("the 80-20 network needs at least 5 neurons")
-    num_exc = int(round(0.8 * num_neurons))
-    num_inh = num_neurons - num_exc
-    config = EightyTwentyConfig(num_excitatory=num_exc, num_inhibitory=num_inh, seed=seed)
-    net = build_eighty_twenty(config)
+    net = build_eighty_twenty(eighty_twenty_config(num_neurons, seed))
     external = np.stack([net.thalamic_input(t) for t in range(num_steps)])
     spec = WorkloadSpec(
         a=net.a,

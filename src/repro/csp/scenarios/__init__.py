@@ -1,8 +1,8 @@
 """Deterministic instance generators for the spiking constraint solver.
 
 Every scenario exposes a generator returning ``(graph, clamps)``; the
-:func:`make_instance` registry builds instances by name so runtime
-backends, sweeps and benchmarks can select a scenario with a string:
+:func:`make_instance` registry builds instances by name so the harness,
+the serve tier and benchmarks can select a scenario with a string:
 
 =============  =====================================================
 Scenario       Instance family
@@ -48,33 +48,28 @@ __all__ = [
 Instance = Tuple[ConstraintGraph, Dict[str, int]]
 
 
-def _make_coloring(seed: int, **params: Any) -> Instance:
+def _make_coloring(
+    seed: int, *, num_vertices: int = 12, num_colors: int = 3, edge_probability: float = 0.6
+) -> Instance:
     return random_coloring_instance(
-        int(params.get("num_vertices", 12)),
-        int(params.get("num_colors", 3)),
-        edge_probability=float(params.get("edge_probability", 0.6)),
-        seed=seed,
+        int(num_vertices), int(num_colors), edge_probability=float(edge_probability), seed=seed
     )
 
 
-def _make_australia(seed: int, **params: Any) -> Instance:
-    return australia_instance(int(params.get("num_colors", 3)))
+def _make_australia(seed: int, *, num_colors: int = 3) -> Instance:
+    return australia_instance(int(num_colors))
 
 
-def _make_queens(seed: int, **params: Any) -> Instance:
-    return queens_instance(int(params.get("n", 6)), seed=seed)
+def _make_queens(seed: int, *, n: int = 6) -> Instance:
+    return queens_instance(int(n), seed=seed)
 
 
-def _make_latin(seed: int, **params: Any) -> Instance:
-    return latin_instance(
-        int(params.get("n", 4)),
-        seed=seed,
-        clamp_fraction=float(params.get("clamp_fraction", 0.5)),
-    )
+def _make_latin(seed: int, *, n: int = 4, clamp_fraction: float = 0.5) -> Instance:
+    return latin_instance(int(n), seed=seed, clamp_fraction=float(clamp_fraction))
 
 
-def _make_sudoku(seed: int, **params: Any) -> Instance:
-    return sudoku_instance(seed, target_clues=int(params.get("target_clues", 28)))
+def _make_sudoku(seed: int, *, target_clues: int = 28) -> Instance:
+    return sudoku_instance(seed, target_clues=int(target_clues))
 
 
 _SCENARIOS: Dict[str, Callable[..., Instance]] = {
@@ -92,7 +87,11 @@ def available_scenarios() -> List[str]:
 
 
 def make_instance(scenario: str, *, seed: int = 0, **params: Any) -> Instance:
-    """Build one deterministic ``(graph, clamps)`` instance by scenario name."""
+    """Build one deterministic ``(graph, clamps)`` instance by scenario name.
+
+    ``params`` are the scenario's size parameters; a key the scenario
+    does not take raises ``TypeError`` instead of being ignored.
+    """
     try:
         factory = _SCENARIOS[scenario]
     except KeyError:

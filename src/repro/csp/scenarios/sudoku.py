@@ -81,6 +81,7 @@ def sudoku_instance(
     seed: int = 100, *, target_clues: int = 28
 ) -> Tuple[ConstraintGraph, Dict[str, int]]:
     """A generated, uniquely-solvable Sudoku instance as (graph, clamps)."""
+    # reprolint: disable-next-line=RL001 -- the puzzle generator still lives in the adapter
     from ...sudoku.puzzles import PuzzleGenerator
 
     generated = PuzzleGenerator().generate(seed=seed, target_clues=target_clues)

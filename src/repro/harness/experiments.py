@@ -21,7 +21,7 @@ process-parallel when an executor with ``mode="process"`` is passed in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from ..snn import (
     run_eighty_twenty,
 )
 from ..runtime import (
+    RunResultCache,
     SweepExecutor,
     SweepSpec,
     SweepTask,
@@ -52,6 +53,9 @@ from ..runtime import (
 from ..sudoku import SNNSudokuSolver, generate_puzzle_set
 from ..sudoku.wta import connectivity_statistics
 from . import paper_data
+
+if TYPE_CHECKING:
+    from ..csp import CSPSolveResult
 
 __all__ = [
     "table1_isa_roundtrip",
@@ -460,23 +464,17 @@ def sudoku_solve_rate(
     max_steps: int = 6000,
     target_clues: int = 30,
     seed: int = 1000,
-    batched: bool = True,
 ) -> Dict[str, object]:
     """Solve a set of generated puzzles with the SNN solver (E-S3).
 
-    With ``batched=True`` (default) all puzzles advance together on the
-    vectorised batch engine (:meth:`SNNSudokuSolver.solve_batch`), which
-    is bit-identical to — and much faster than — the sequential
-    ``batched=False`` loop kept as the reference baseline.
+    All puzzles advance together on the vectorised batch engine
+    (:meth:`SNNSudokuSolver.solve_batch`), which is bit-identical to one
+    sequential :meth:`SNNSudokuSolver.solve` per puzzle.
     """
     puzzles = generate_puzzle_set(count, base_seed=seed, target_clues=target_clues)
-    solver = SNNSudokuSolver()
-    if batched:
-        results = solver.solve_batch(
-            [p.puzzle for p in puzzles], max_steps=max_steps, check_interval=5
-        )
-    else:
-        results = [solver.solve(p.puzzle, max_steps=max_steps, check_interval=5) for p in puzzles]
+    results = SNNSudokuSolver().solve_batch(
+        [p.puzzle for p in puzzles], max_steps=max_steps, check_interval=5
+    )
     solved = sum(1 for r in results if r.solved)
     return {
         "num_puzzles": count,
@@ -488,6 +486,15 @@ def sudoku_solve_rate(
     }
 
 
+def _csp_solve_task(task: SweepTask) -> CSPSolveResult:
+    """Solve one CSP instance standalone (picklable sweep task)."""
+    from ..csp import SpikingCSPSolver
+
+    p = task.params
+    solver = SpikingCSPSolver(p["graph"], backend=p["backend"], seed=p["solver_seed"])
+    return solver.solve(p["clamps"], max_steps=p["max_steps"], check_interval=p["check_interval"])
+
+
 def csp_solve_rate(
     *,
     scenario: str = "coloring",
@@ -497,8 +504,9 @@ def csp_solve_rate(
     seed: int = 0,
     solver_seed: int = 7,
     backend: str = "fixed",
-    batched: bool = True,
     scenario_params: Optional[Dict[str, object]] = None,
+    executor: Optional[SweepExecutor] = None,
+    cache: Optional[RunResultCache] = None,
 ) -> Dict[str, object]:
     """Solve a set of generated CSP instances with the spiking solver.
 
@@ -506,18 +514,26 @@ def csp_solve_rate(
     ``count`` deterministic instances of one scenario family (graph
     coloring, N-queens, Latin squares, ... — see
     :mod:`repro.csp.scenarios`) are generated from ``seed + index`` and
-    solved on the WTA network.  With ``batched=True`` (default) all
-    instances advance together on the exact-mode batch engine
-    (:func:`repro.csp.solver.solve_instances`), bit-identical to — and
-    much faster than — the sequential ``batched=False`` reference loop.
+    solved on the WTA network under the noise seed ``solver_seed``.
+
+    With ``executor=None`` (default) all instances advance together on
+    the exact-mode batch engine (:func:`repro.csp.solver.solve_instances`).
+    With an executor, every instance is one standalone solve on the sweep
+    fabric (``SweepExecutor()`` inline, ``mode="process"`` on worker
+    processes) and ``cache`` is the fabric's resume store; the summary
+    then also carries the fabric's :class:`SweepReport` under
+    ``"sweep"``.  Both paths return bit-identical per-instance results.
     """
-    from ..csp import SpikingCSPSolver, make_instance
+    from ..csp import make_instance
     from ..csp.solver import solve_instances
 
+    if cache is not None and executor is None:
+        raise ValueError("cache is the sweep fabric's resume store; pass an executor too")
     params = dict(scenario_params or {})
     # reprolint: disable-next-line=RL002 -- instance-identity seeds (frozen corpus)
     instances = [make_instance(scenario, seed=seed + i, **params) for i in range(count)]
-    if batched:
+    report = None
+    if executor is None:
         results = solve_instances(
             instances,
             backend=backend,
@@ -526,14 +542,22 @@ def csp_solve_rate(
             check_interval=check_interval,
         )
     else:
-        results = [
-            SpikingCSPSolver(graph, backend=backend, seed=solver_seed).solve(
-                clamps, max_steps=max_steps, check_interval=check_interval
-            )
+        param_sets = [
+            {
+                "graph": graph,
+                "clamps": clamps,
+                "backend": backend,
+                "solver_seed": solver_seed,
+                "max_steps": max_steps,
+                "check_interval": check_interval,
+            }
             for graph, clamps in instances
         ]
+        spec = SweepSpec(fn=_csp_solve_task, param_sets=param_sets, cache=cache)
+        report = executor.execute(spec)
+        results = report.results
     solved = sum(1 for r in results if r.solved)
-    return {
+    summary: Dict[str, object] = {
         "scenario": scenario,
         "num_instances": count,
         "num_neurons": instances[0][0].num_neurons if instances else 0,
@@ -542,6 +566,9 @@ def csp_solve_rate(
         "mean_steps": float(np.mean([r.steps for r in results])) if results else 0.0,
         "results": results,
     }
+    if report is not None:
+        summary["sweep"] = report
+    return summary
 
 
 def csp_portfolio_solve_rate(

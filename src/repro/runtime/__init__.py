@@ -1,21 +1,20 @@
 """Batched multi-network runtime for the IzhiRISC-V reproduction.
 
 This package makes *batches* of independent simulations the unit of work
-(see ``docs/RUNTIME.md`` for worked examples):
+(see ``docs/RUNTIME.md`` for worked examples).  It holds the engines, the
+sweep fabric, the result cache and checkpoints, and imports nothing from
+the packages above it (``csp``, ``serve``) or from the adapters
+(``harness``, ``sudoku``, ``codegen``, ``hw``); every experiment's driver
+lives in :mod:`repro.harness`, built on these primitives:
 
-:mod:`repro.runtime.backends`
-    :class:`SimBackend` protocol plus a registry unifying the four
-    execution paths — float64 reference, fixed-point NPU datapath,
-    functional ISA simulator and cycle-accurate core — behind one
-    ``RunRequest -> RunResult`` interface.
 :mod:`repro.runtime.batch`
     :class:`BatchedNetwork`, the vectorised batch engine stacking ``B``
     networks into ``(B, N)`` state arrays advanced by fused updates;
     bit-exact with the sequential engine in its default mode.
 :mod:`repro.runtime.cache`
-    :class:`RunResultCache`, a content-addressed on-disk cache serving
-    repeated backend runs without recomputation (keyed by backend name,
-    request and a fingerprint of the ``repro`` sources).
+    :class:`RunResultCache`, a content-addressed on-disk result store
+    (keyed by a namespace, the request and a fingerprint of the ``repro``
+    sources) behind the sweep fabric's resume and the serve tier's memo.
 :mod:`repro.runtime.checkpoint`
     Crash-safe snapshots: versioned, checksummed, atomically written
     checkpoint files, a pruning :class:`CheckpointStore`, the
@@ -45,24 +44,9 @@ This package makes *batches* of independent simulations the unit of work
     :class:`SweepReport` (with a warned serial fallback when the task
     function cannot be pickled).
 :mod:`repro.runtime.workloads`
-    Sweep drivers for the paper's workloads: batched 80-20 seed sweeps
-    plus four pooled/batched solve-rate and load sweeps, each taking its
-    frozen config dataclass and returning a :class:`SweepReport`.
-:mod:`repro.runtime.registry`
-    ``run_sweep_workload(name, config)`` runs those four drivers by
-    name.
+    The batched 80-20 seed sweep and its replica and noise builders.
 """
 
-from .backends import (
-    RunRequest,
-    RunResult,
-    SimBackend,
-    available_backends,
-    eighty_twenty_config,
-    get_backend,
-    register_backend,
-    run_on_backend,
-)
 from .batch import BatchedNetwork, BatchIncompatibleError
 from .cache import RunResultCache, code_fingerprint
 from .checkpoint import (
@@ -105,31 +89,13 @@ from .sweep import (
     sweep_task_key,
 )
 from .workloads import (
-    CSPPortfolioSweepConfig,
-    PooledCSPSweepConfig,
-    PooledSudokuSweepConfig,
     SeedSweepResult,
-    ServeLoadSweepConfig,
     batched_thalamic_provider,
     build_eighty_twenty_replicas,
-    csp_portfolio_sweep,
     eighty_twenty_seed_sweep,
-    pooled_csp_sweep,
-    pooled_sudoku_sweep,
-    run_many_on_backend,
-    serve_load_sweep,
 )
-from .registry import run_sweep_workload, sweep_workloads
 
 __all__ = [
-    "RunRequest",
-    "RunResult",
-    "SimBackend",
-    "available_backends",
-    "eighty_twenty_config",
-    "get_backend",
-    "register_backend",
-    "run_on_backend",
     "BatchedNetwork",
     "BatchIncompatibleError",
     "RunResultCache",
@@ -168,16 +134,5 @@ __all__ = [
     "SeedSweepResult",
     "batched_thalamic_provider",
     "build_eighty_twenty_replicas",
-    "csp_portfolio_sweep",
     "eighty_twenty_seed_sweep",
-    "pooled_csp_sweep",
-    "pooled_sudoku_sweep",
-    "run_many_on_backend",
-    "serve_load_sweep",
-    "CSPPortfolioSweepConfig",
-    "PooledCSPSweepConfig",
-    "PooledSudokuSweepConfig",
-    "ServeLoadSweepConfig",
-    "run_sweep_workload",
-    "sweep_workloads",
 ]

@@ -1,28 +1,31 @@
-"""Content-addressed on-disk cache for backend run results.
+"""Content-addressed on-disk cache for deterministic run results.
 
-Every built-in backend is deterministic given a :class:`RunRequest`
-(network construction, noise and puzzle generation are all seeded), so a
-``(backend, request)`` pair fully determines the :class:`RunResult` — up
-to the code that computes it.  :class:`RunResultCache` exploits that:
+Two tiers store results here: the sweep fabric
+(:class:`~repro.runtime.sweep.SweepSpec` ``cache=``, its crash-tolerant
+resume store) and the serve tier (:class:`~repro.serve.SolveService`
+``cache=``, its cross-request result memo).  Both describe a run by a
+plain, deterministic request — seeds, scenario and solver parameters —
+so the request fully determines the result up to the code that computes
+it.  :class:`RunResultCache` exploits that:
 
-* the **cache key** is a SHA-256 over the backend name, a canonical
-  token of the request (dataclasses, mappings, sequences, NumPy arrays
-  and scalars are all reduced to a stable JSON form) and a
-  **code fingerprint** hashing every ``repro`` source file, so editing
-  the simulator invalidates all prior entries instead of serving stale
-  results;
-* entries are pickled ``RunResult`` objects stored under
+* the **cache key** (:func:`derive_cache_key`) is a SHA-256 over a
+  namespace (``"sweep"``, ``"serve"``, ...), a canonical token of the
+  request (dataclasses, mappings, sequences, NumPy arrays and scalars
+  are all reduced to a stable JSON form) and a **code fingerprint**
+  hashing every ``repro`` source file, so editing the simulator
+  invalidates all prior entries instead of serving stale results;
+* entries are pickled results stored under
   ``<root>/<key[:2]>/<key>.pkl`` — written atomically (temp file +
   fsync + rename) with a SHA-256 payload checksum verified on every
   read, so concurrent sweep workers may share one cache directory and a
   corrupted entry is quarantined (renamed aside, counted) instead of
   being served or silently lost;
 * requests that contain objects without a stable canonical form (e.g. a
-  closure in ``options``) are *bypassed*, never mis-keyed.
+  closure) get no key, so callers bypass the cache rather than mis-key.
 
-The cache is opt-in: ``run_on_backend(..., cache=RunResultCache())``
-enables it per call.  ``REPRO_RUN_CACHE_DIR`` overrides the default
-location (``~/.cache/izhirisc-repro/runs``).
+The cache is opt-in: callers pass a :class:`RunResultCache` instance.
+``REPRO_RUN_CACHE_DIR`` overrides the default location
+(``~/.cache/izhirisc-repro/runs``).
 """
 
 from __future__ import annotations
@@ -107,12 +110,13 @@ def _token(obj: Any) -> Any:
 
 
 def derive_cache_key(backend_name: str, request: Any) -> Optional[str]:
-    """Content-addressed key of one ``(backend, request)`` pair.
+    """Content-addressed key of one request under a namespace.
 
-    The module-level form of :meth:`RunResultCache.key_for`, usable
-    without a cache instance (the serve tier derives request identities
-    from it even when running cache-less).  Returns ``None`` when the
-    request contains an object with no stable canonical form.
+    ``backend_name`` namespaces the key (the sweep fabric uses
+    ``"sweep"``, the serve tier ``"serve"``); the serve tier also derives
+    request identities from it when running cache-less.  Returns
+    ``None`` when the request contains an object with no stable
+    canonical form.
     """
     try:
         token = _token(request)
@@ -154,7 +158,7 @@ def code_fingerprint() -> str:
 
 
 class RunResultCache:
-    """On-disk store mapping ``(backend, request, code)`` to ``RunResult``.
+    """On-disk store mapping a :func:`derive_cache_key` key to a result.
 
     Parameters
     ----------
@@ -168,18 +172,7 @@ class RunResultCache:
             default = Path.home() / ".cache" / "izhirisc-repro" / "runs"
             root = os.environ.get("REPRO_RUN_CACHE_DIR") or default
         self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.uncacheable = 0
         self.quarantined = 0
-
-    # ------------------------------------------------------------------ #
-    # Key derivation
-    # ------------------------------------------------------------------ #
-    def key_for(self, backend_name: str, request: Any) -> Optional[str]:
-        """Cache key for one run, or ``None`` if the request is uncacheable."""
-        return derive_cache_key(backend_name, request)
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
@@ -207,7 +200,7 @@ class RunResultCache:
         Every entry is verified on read: bytes without the :meth:`put`
         framing, or a payload whose SHA-256 does not match — bit rot,
         torn write, tampering — are **quarantined** (renamed aside and
-        counted in :attr:`stats`) and reported as a miss.  With
+        counted in :attr:`quarantined`) and reported as a miss.  With
         ``expect`` set, an entry that unpickles to a different type — an
         entry written by an incompatible tool — is unlinked and reported
         as a miss, never handed to the caller.
@@ -259,37 +252,7 @@ class RunResultCache:
             except OSError:
                 pass
             raise
-        self.stores += 1
-
-    # ------------------------------------------------------------------ #
-    # High-level interface
-    # ------------------------------------------------------------------ #
-    def load_or_run(self, backend: Any, request: Any) -> Any:
-        """Serve ``backend.run(request)`` from the cache when possible."""
-        key = self.key_for(backend.name, request)
-        if key is None:
-            self.uncacheable += 1
-            return backend.run(request)
-        cached = self.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        result = backend.run(request)
-        self.put(key, result)
-        return result
 
     def clear(self) -> None:
         """Delete every entry (the directory itself is recreated lazily)."""
         shutil.rmtree(self.root, ignore_errors=True)
-
-    @property
-    def stats(self) -> Mapping[str, int]:
-        """Hit/miss/store/uncacheable counters for this instance."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "uncacheable": self.uncacheable,
-            "quarantined": self.quarantined,
-        }

@@ -59,8 +59,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -224,9 +223,6 @@ class SweepReport:
     duplicates: int = 0
     pickle_fallback: bool = False
     worker_busy: Dict[int, float] = field(default_factory=dict)
-    #: Workload-level summary attached by the sweep drivers of
-    #: :mod:`repro.runtime.workloads`.
-    summary: Optional[Mapping[str, Any]] = None
 
     @property
     def lease_retries(self) -> int:
@@ -238,52 +234,6 @@ class SweepReport:
         if self.elapsed <= 0:
             return {w: 0.0 for w in self.worker_busy}
         return {w: busy / self.elapsed for w, busy in sorted(self.worker_busy.items())}
-
-    def bench_record(self) -> Dict[str, Any]:
-        """JSON-able summary row for BENCH history tracking."""
-        durations = [r.duration for r in self.records]
-        return {
-            "tasks": len(self.records),
-            "mode": self.mode,
-            "workers": self.num_workers,
-            "chunk_size": self.chunk_size,
-            "elapsed_seconds": self.elapsed,
-            "mean_task_seconds": float(np.mean(durations)) if durations else 0.0,
-            "cache_hits": self.cache_hits,
-            "cache_stores": self.cache_stores,
-            "cache_uncacheable": self.cache_uncacheable,
-            "steals": self.steals,
-            "lease_expiries": self.lease_expiries,
-            "worker_deaths": self.worker_deaths,
-            "lease_retries": self.lease_retries,
-            "duplicates": self.duplicates,
-            "pickle_fallback": self.pickle_fallback,
-            "worker_utilisation": {str(k): v for k, v in self.worker_utilisation().items()},
-        }
-
-    def bench_view(self, bench_dir: Union[str, Path, None] = None) -> Dict[str, Any]:
-        """This report's record plus every ``BENCH_*.json`` it sits beside.
-
-        The consolidated view the nightly job tracks over time: the
-        sweep record next to the repo's other benchmark result files
-        (``bench_dir`` defaults to ``benchmarks/`` at the repo root when
-        it exists), so one artifact carries the whole perf trajectory.
-        """
-        import json
-
-        view: Dict[str, Any] = {"sweep": self.bench_record(), "bench": {}}
-        if bench_dir is None:
-            candidate = Path(__file__).resolve().parents[3] / "benchmarks"
-            bench_dir = candidate if candidate.is_dir() else None
-        if bench_dir is None:
-            return view
-        for path in sorted(Path(bench_dir).glob("BENCH_*.json")):
-            try:
-                with open(path) as fh:
-                    view["bench"][path.name] = json.load(fh)
-            except (OSError, ValueError):
-                continue
-        return view
 
 
 # ---------------------------------------------------------------------- #

@@ -19,6 +19,7 @@ from .eighty_twenty import (
     EightyTwentyConfig,
     EightyTwentyNetwork,
     build_eighty_twenty,
+    eighty_twenty_config,
     run_eighty_twenty,
 )
 from .fixed_izhikevich import FixedPointPopulation, decay_current_raw
@@ -38,6 +39,7 @@ __all__ = [
     "EightyTwentyConfig",
     "EightyTwentyNetwork",
     "build_eighty_twenty",
+    "eighty_twenty_config",
     "run_eighty_twenty",
     "FixedPointPopulation",
     "decay_current_raw",

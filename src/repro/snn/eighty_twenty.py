@@ -26,7 +26,13 @@ from .izhikevich import IzhikevichPopulation
 from .network import SNNNetwork
 from .synapse import DenseSynapses
 
-__all__ = ["EightyTwentyConfig", "EightyTwentyNetwork", "build_eighty_twenty", "run_eighty_twenty"]
+__all__ = [
+    "EightyTwentyConfig",
+    "EightyTwentyNetwork",
+    "build_eighty_twenty",
+    "eighty_twenty_config",
+    "run_eighty_twenty",
+]
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,22 @@ class EightyTwentyConfig:
     @property
     def num_neurons(self) -> int:
         return self.num_excitatory + self.num_inhibitory
+
+
+def eighty_twenty_config(num_neurons: Optional[int], seed: int) -> EightyTwentyConfig:
+    """The canonical 80/20 excitatory/inhibitory split for a scaled network.
+
+    The one place that decides the split: the batched replicas, their
+    vectorised noise provider and the generated ISA workload all build
+    from it, so they agree on which columns are excitatory.  ``None``
+    selects the paper-scale 800/200 network.
+    """
+    if num_neurons is None:
+        return EightyTwentyConfig(seed=seed)
+    num_exc = int(round(0.8 * num_neurons))
+    return EightyTwentyConfig(
+        num_excitatory=num_exc, num_inhibitory=num_neurons - num_exc, seed=seed
+    )
 
 
 @dataclass

@@ -31,7 +31,6 @@ import numpy as np
 from ..csp.config import CSPConfig
 from ..csp.scenarios.sudoku import clamps_from_cells, shared_sudoku_graph
 from ..csp.solver import CSPSolveResult, SpikingCSPSolver, decode_assignment
-from ..snn.network import SNNNetwork
 from .board import BacktrackingSolver, SudokuBoard
 from .wta import GRID, WTAConfig
 
@@ -105,7 +104,7 @@ class SNNSudokuSolver:
         self.synapses = self._csp.synapses
 
     # ------------------------------------------------------------------ #
-    # Network assembly (kept for the runtime backends)
+    # Drive construction
     # ------------------------------------------------------------------ #
     def _drive_vector(self, puzzle: SudokuBoard) -> np.ndarray:
         """Constant per-neuron drive: strong for clue digits, bias otherwise."""
@@ -114,9 +113,6 @@ class SNNSudokuSolver:
             clamp_drive=self.config.clue_drive,
             free_bias=self.config.free_bias,
         )
-
-    def _build_network(self, puzzle: SudokuBoard) -> SNNNetwork:
-        return self._csp.build_network(clamps_from_cells(puzzle.cells))
 
     # ------------------------------------------------------------------ #
     # Decoding

@@ -158,3 +158,16 @@ class TestWorkloadBuilders:
         assert fsim.halted
         assert wl.total_spikes(fsim) >= 0
         assert len(wl.read_vu_words(fsim)) == 10
+
+    @pytest.mark.parametrize("num_neurons", [12, 37])
+    def test_eighty_twenty_split_matches_runtime_replica(self, num_neurons):
+        # 37 neurons rounds the excitatory share (29.6 -> 30): the ISA
+        # workload and the batched replica must agree on the columns.
+        from repro.runtime import build_eighty_twenty_replicas
+
+        wl = build_eighty_twenty_workload(num_neurons=num_neurons, num_steps=1, seed=11)
+        (network,) = build_eighty_twenty_replicas([11], backend="float64", num_neurons=num_neurons)
+        population = network.population
+        for name in ("a", "b", "c", "d"):
+            np.testing.assert_array_equal(getattr(wl.spec, name), getattr(population, name))
+        np.testing.assert_array_equal(wl.spec.weights, network.synapses.weights)

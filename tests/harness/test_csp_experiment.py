@@ -1,6 +1,9 @@
 """The harness solve-rate experiment for the generic constraint solver."""
 
+import pytest
+
 from repro.harness import csp_solve_rate
+from repro.runtime import RunResultCache, SweepExecutor
 
 
 class TestCSPSolveRate:
@@ -25,11 +28,26 @@ class TestCSPSolveRate:
             solver_seed=7,
             scenario_params={"n": 4},
         )
-        batched = csp_solve_rate(batched=True, **kwargs)
-        sequential = csp_solve_rate(batched=False, **kwargs)
-        assert batched["solve_rate"] == sequential["solve_rate"]
-        assert batched["mean_steps"] == sequential["mean_steps"]
-        for a, b in zip(batched["results"], sequential["results"]):
-            assert a.total_spikes == b.total_spikes
-            assert a.steps == b.steps
-            assert (a.values == b.values).all()
+        batched = csp_solve_rate(**kwargs)
+        sequential = csp_solve_rate(executor=SweepExecutor(), **kwargs)
+        pooled = csp_solve_rate(executor=SweepExecutor(mode="process", max_workers=2), **kwargs)
+        for other in (sequential, pooled):
+            assert batched["solve_rate"] == other["solve_rate"]
+            assert batched["mean_steps"] == other["mean_steps"]
+            for a, b in zip(batched["results"], other["results"], strict=True):
+                assert a.total_spikes == b.total_spikes
+                assert a.steps == b.steps
+                assert (a.values == b.values).all()
+
+    def test_cache_needs_an_executor(self, tmp_path):
+        with pytest.raises(ValueError, match="executor"):
+            csp_solve_rate(scenario="australia", count=1, cache=RunResultCache(tmp_path))
+
+    def test_fabric_resume_serves_cached_instances(self, tmp_path):
+        kwargs = dict(scenario="australia", count=2, max_steps=200, solver_seed=1)
+        cold = csp_solve_rate(executor=SweepExecutor(), cache=RunResultCache(tmp_path), **kwargs)
+        warm = csp_solve_rate(executor=SweepExecutor(), cache=RunResultCache(tmp_path), **kwargs)
+        assert (cold["sweep"].cache_hits, warm["sweep"].cache_hits) == (0, 2)
+        assert [r.total_spikes for r in warm["results"]] == [
+            r.total_spikes for r in cold["results"]
+        ]

@@ -1,96 +1,66 @@
-"""The SimBackend registry: one interface over four execution paths."""
+"""The four execution paths, each driven through its own entry point.
+
+``float64`` and ``fixed`` are network-level (80-20 replicas that stack on
+the batch engine); ``functional`` and ``cycle`` run the generated RISC-V
+kernel on the ISS and the cycle-accurate core.
+"""
 
 import numpy as np
 import pytest
 
+from repro.codegen import build_eighty_twenty_workload
 from repro.runtime import (
-    PooledSudokuSweepConfig,
-    RunRequest,
-    RunResult,
-    SimBackend,
-    available_backends,
+    BatchedNetwork,
+    build_eighty_twenty_replicas,
     eighty_twenty_seed_sweep,
-    get_backend,
-    pooled_sudoku_sweep,
-    register_backend,
-    run_on_backend,
 )
-from repro.runtime.backends import _REGISTRY
-
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert set(available_backends()) >= {"float64", "fixed", "functional", "cycle"}
-
-    def test_backends_satisfy_protocol(self):
-        for name in available_backends():
-            backend = get_backend(name)
-            assert isinstance(backend, SimBackend)
-            assert backend.level in ("network", "isa", "cycle")
-
-    def test_unknown_backend_error_lists_known(self):
-        with pytest.raises(KeyError, match="fixed"):
-            get_backend("no-such-backend")
-
-    def test_duplicate_registration_rejected(self):
-        backend = get_backend("fixed")
-        with pytest.raises(ValueError):
-            register_backend(backend)
-        # replace=True is the explicit override knob.
-        register_backend(backend, replace=True)
-        assert _REGISTRY["fixed"] is backend
+from repro.sim import CoreConfig, CycleAccurateCore
 
 
 class TestNetworkBackends:
     @pytest.mark.parametrize("name", ["float64", "fixed"])
     def test_eighty_twenty_run(self, name):
-        result = run_on_backend(
-            name, RunRequest(num_neurons=50, num_steps=60, seed=5)
-        )
-        assert isinstance(result, RunResult)
-        assert result.backend == name
-        assert result.raster is not None
-        assert result.raster.num_steps == 60
-        assert result.total_spikes == result.raster.num_spikes > 0
-        assert result.metrics["mean_rate_hz"] > 0
+        (network,) = build_eighty_twenty_replicas([5], backend=name, num_neurons=50)
+        raster = network.run(60)
+        assert raster.num_steps == 60
+        assert raster.num_spikes > 0
+        assert raster.mean_rate_hz() > 0
 
     def test_network_backends_support_batching(self):
-        backend = get_backend("fixed")
-        assert backend.supports_batching
-        request = RunRequest(num_neurons=40, num_steps=10, seed=1)
-        network = backend.build_network(request)
-        assert network is not None and network.size == 40
+        networks = build_eighty_twenty_replicas([1, 2], num_neurons=40)
+        assert [net.size for net in networks] == [40, 40]
+        assert BatchedNetwork.from_networks(networks).batch_size == 2
 
     def test_fixed_matches_direct_engine(self):
-        # The backend is a thin veneer over the existing single-run API.
+        # The replica builder is a thin veneer over the single-run API.
         from repro.snn import run_eighty_twenty, EightyTwentyConfig
 
-        result = run_on_backend("fixed", RunRequest(num_neurons=50, num_steps=60, seed=5))
+        (network,) = build_eighty_twenty_replicas([5], num_neurons=50)
+        replica = network.run(60)
         config = EightyTwentyConfig(num_excitatory=40, num_inhibitory=10, seed=5)
         raster, _ = run_eighty_twenty(num_steps=60, backend="fixed", config=config)
-        np.testing.assert_array_equal(result.raster.times, raster.times)
-        np.testing.assert_array_equal(result.raster.neuron_ids, raster.neuron_ids)
+        np.testing.assert_array_equal(replica.times, raster.times)
+        np.testing.assert_array_equal(replica.neuron_ids, raster.neuron_ids)
 
 
 class TestIsaBackends:
     def test_functional_run(self):
-        result = run_on_backend(
-            "functional", RunRequest(num_neurons=12, num_steps=1, seed=3)
-        )
-        assert result.raster is None
-        assert result.metrics["instret"] > 0
-        assert result.metrics["exit_code"] == 0
+        workload = build_eighty_twenty_workload(num_neurons=12, num_steps=1, seed=3)
+        fsim = workload.make_simulator()
+        fsim.run()
+        assert fsim.instret > 0
+        assert fsim.exit_code == 0
 
     def test_cycle_run(self):
-        result = run_on_backend("cycle", RunRequest(num_neurons=12, num_steps=1, seed=3))
-        assert result.metrics["cycles"] > result.metrics["instructions"] > 0
-        assert 0.0 < result.metrics["ipc"] <= 1.0
+        workload = build_eighty_twenty_workload(num_neurons=12, num_steps=1, seed=3)
+        counters = CycleAccurateCore(workload.make_simulator(), CoreConfig()).run()
+        assert counters.cycles > counters.instructions > 0
+        assert 0.0 < counters.ipc <= 1.0
 
     def test_isa_backends_do_not_batch(self):
         for name in ("functional", "cycle"):
-            backend = get_backend(name)
-            assert not backend.supports_batching
-            assert backend.build_network(RunRequest()) is None
+            with pytest.raises(ValueError, match="not a network-level backend"):
+                build_eighty_twenty_replicas([1], backend=name, num_neurons=12)
 
 
 class TestWorkloadSweeps:
@@ -123,12 +93,3 @@ class TestWorkloadSweeps:
         ]
         with pytest.raises(ValueError, match="thalamic scales"):
             batched_thalamic_provider(configs)
-
-    def test_pooled_sudoku_sweep_shape(self):
-        result = pooled_sudoku_sweep(
-            PooledSudokuSweepConfig(count=2, target_clues=40, max_steps=150)
-        ).summary
-        assert result["num_puzzles"] == 2
-        assert len(result["results"]) == 2
-        assert 0.0 <= result["solve_rate"] <= 1.0
-        assert all(r["num_clues"] >= 40 for r in result["results"])

@@ -1,129 +1,110 @@
-"""The ``csp`` workload through the backend registry, sweeps and cache."""
-
-from dataclasses import replace
+"""The ``csp`` workload built directly: networks, the result cache and the fabric."""
 
 import numpy as np
 import pytest
 
-from repro.runtime import (
-    PooledCSPSweepConfig,
-    PooledSudokuSweepConfig,
-    RunRequest,
-    RunResultCache,
-    get_backend,
-    pooled_csp_sweep,
-    pooled_sudoku_sweep,
-    run_on_backend,
-)
-from repro.runtime.sweep import SweepExecutor
+from repro.csp import SpikingCSPSolver, make_instance
+from repro.harness import csp_solve_rate
+from repro.runtime import RunResultCache, SweepExecutor
+from repro.runtime.cache import derive_cache_key
 
 
-def _csp_request(**overrides):
-    options = {
-        "scenario": "australia",
-        "params": {"num_colors": 3},
-    }
-    options.update(overrides.pop("options", {}))
-    return RunRequest(workload="csp", num_steps=40, seed=3, options=options, **overrides)
+def _csp_network(backend="fixed", scenario="australia", seed=3, solver_seed=None, **params):
+    params = params or {"num_colors": 3}
+    graph, clamps = make_instance(scenario, seed=seed, **params)
+    solver_seed = seed if solver_seed is None else solver_seed
+    return SpikingCSPSolver(graph, backend=backend, seed=solver_seed).build_network(clamps)
+
+
+def _outcomes(summary):
+    return [(r.solved, r.steps, r.total_spikes, r.values.tolist()) for r in summary["results"]]
 
 
 class TestCSPBackendWorkload:
     def test_network_backends_build_csp_networks(self):
         for name in ("fixed", "float64"):
-            network = get_backend(name).build_network(_csp_request())
-            assert network.size == 21  # 7 regions x 3 colors
+            assert _csp_network(name).size == 21  # 7 regions x 3 colors
 
     def test_run_produces_raster_and_metrics(self):
-        result = run_on_backend("fixed", _csp_request())
-        assert result.workload == "csp"
-        assert result.num_steps == 40
-        assert result.raster is not None
-        assert result.total_spikes > 0
-        assert "mean_rate_hz" in result.metrics
+        raster = _csp_network().run(40)
+        assert raster.num_steps == 40
+        assert raster.num_spikes > 0
+        assert raster.mean_rate_hz() > 0
 
     def test_scenario_selection_and_params(self):
-        request = _csp_request(options={"scenario": "queens", "params": {"n": 5}})
-        network = get_backend("fixed").build_network(request)
-        assert network.size == 25
+        assert _csp_network(scenario="queens", n=5).size == 25
 
     def test_solver_seed_option_changes_noise_stream(self):
-        base = run_on_backend("fixed", _csp_request())
-        same = run_on_backend("fixed", _csp_request())
-        other = run_on_backend(
-            "fixed", _csp_request(options={"solver_seed": 99})
-        )
-        assert base.total_spikes == same.total_spikes
-        assert other.total_spikes != base.total_spikes
+        base = _csp_network().run(40)
+        same = _csp_network().run(40)
+        other = _csp_network(solver_seed=99).run(40)
+        assert base.num_spikes == same.num_spikes
+        assert other.num_spikes != base.num_spikes
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
-            get_backend("fixed").build_network(
-                _csp_request(options={"scenario": "nope"})
-            )
+            make_instance("nope")
+
+    def test_unknown_scenario_param_raises(self):
+        # A misspelt size parameter used to be ignored silently, building
+        # the scenario's default-size instance instead.
+        with pytest.raises(TypeError, match="num_nodes"):
+            make_instance("coloring", num_nodes=6)
+        graph, _ = make_instance("coloring", num_vertices=6, num_colors=3)
+        assert graph.num_neurons == 18
 
     def test_isa_backends_reject_csp(self):
-        with pytest.raises(ValueError):
-            run_on_backend("functional", _csp_request())
+        graph, _ = make_instance("australia", num_colors=3)
+        for name in ("functional", "cycle"):
+            with pytest.raises(ValueError):
+                SpikingCSPSolver(graph, backend=name)
 
     def test_run_result_cache_serves_repeated_csp_runs(self, tmp_path):
         cache = RunResultCache(tmp_path)
-        request = _csp_request()
-        cold = run_on_backend("fixed", request, cache=cache)
-        hot = run_on_backend("fixed", request, cache=cache)
-        assert cache.misses == 1 and cache.hits == 1
-        assert hot.total_spikes == cold.total_spikes
-        np.testing.assert_array_equal(
-            hot.raster.to_bool_matrix(), cold.raster.to_bool_matrix()
-        )
+        key = derive_cache_key("csp", {"scenario": "australia", "seed": 3, "steps": 40})
+        runs = []
+
+        def cached_run():
+            raster = cache.get(key)
+            if raster is None:
+                raster = _csp_network().run(40)
+                runs.append(raster)
+                cache.put(key, raster)
+            return raster
+
+        cold = cached_run()
+        hot = cached_run()
+        assert len(runs) == 1
+        assert hot.num_spikes == cold.num_spikes
+        np.testing.assert_array_equal(hot.to_bool_matrix(), cold.to_bool_matrix())
 
 
 class TestPooledCSPSweep:
+    """``csp_solve_rate`` with an executor: one standalone solve per fabric task."""
+
     def test_sweep_shape_and_determinism(self):
-        kwargs = dict(base_seed=0, max_steps=300, scenario_params={"n": 4})
-        config = PooledCSPSweepConfig(scenario="latin", count=2, **kwargs)
-        first = pooled_csp_sweep(config).summary
-        second = pooled_csp_sweep(config).summary
+        kwargs = dict(scenario="latin", count=2, seed=0, max_steps=300, scenario_params={"n": 4})
+        first = csp_solve_rate(executor=SweepExecutor(), **kwargs)
+        second = csp_solve_rate(executor=SweepExecutor(), **kwargs)
         assert first["scenario"] == "latin"
         assert first["num_instances"] == 2
+        assert first["num_neurons"] == 64  # 16 cells x 4 symbols
         assert len(first["results"]) == 2
         assert 0.0 <= first["solve_rate"] <= 1.0
-        assert first == second
-        assert [r["instance_seed"] for r in first["results"]] == [0, 1]
-        assert all(r["num_neurons"] == 64 for r in first["results"])  # 16 cells x 4 symbols
+        assert _outcomes(first) == _outcomes(second)
+        report = first["sweep"]
+        assert report.mode == "serial"
+        assert len(report.records) == 2
 
     def test_process_pool_matches_serial(self):
-        kwargs = dict(base_seed=0, max_steps=200, scenario_params={"n": 4})
-        config = PooledCSPSweepConfig(scenario="latin", count=2, **kwargs)
-        serial = pooled_csp_sweep(config).summary
-        pooled = pooled_csp_sweep(
-            config, executor=SweepExecutor(mode="process", max_workers=2)
-        ).summary
-        assert serial == pooled
+        kwargs = dict(scenario="latin", count=2, seed=0, max_steps=200, scenario_params={"n": 4})
+        serial = csp_solve_rate(executor=SweepExecutor(), **kwargs)
+        pooled = csp_solve_rate(executor=SweepExecutor(mode="process", max_workers=2), **kwargs)
+        assert pooled["sweep"].mode == "process"
+        assert _outcomes(serial) == _outcomes(pooled)
 
     def test_solver_seed_threads_through(self):
-        kwargs = dict(base_seed=0, max_steps=150, scenario_params={"n": 4})
-        config = PooledCSPSweepConfig(scenario="latin", count=1, **kwargs)
-        a = pooled_csp_sweep(replace(config, solver_seed=1)).summary
-        b = pooled_csp_sweep(replace(config, solver_seed=2)).summary
-        assert (
-            a["results"][0]["total_spikes"] != b["results"][0]["total_spikes"]
-            or a["results"][0]["steps"] != b["results"][0]["steps"]
-        )
-
-
-class TestPooledSudokuSolverSeed:
-    """Regression tests: pooled_sudoku_sweep can vary the solver seed."""
-
-    def test_solver_seed_changes_results(self):
-        kwargs = dict(base_seed=1000, target_clues=40, max_steps=60)
-        config = PooledSudokuSweepConfig(count=1, **kwargs)
-        default = pooled_sudoku_sweep(config).summary
-        explicit = pooled_sudoku_sweep(replace(config, solver_seed=7)).summary
-        different = pooled_sudoku_sweep(replace(config, solver_seed=11)).summary
-        # The historical default (7) is preserved...
-        assert default == explicit
-        # ...and a different solver seed now actually reaches the solver.
-        assert (
-            different["results"][0]["total_spikes"]
-            != default["results"][0]["total_spikes"]
-        )
+        kwargs = dict(scenario="latin", count=1, seed=0, max_steps=150, scenario_params={"n": 4})
+        a = csp_solve_rate(executor=SweepExecutor(), solver_seed=1, **kwargs)["results"][0]
+        b = csp_solve_rate(executor=SweepExecutor(), solver_seed=2, **kwargs)["results"][0]
+        assert a.total_spikes != b.total_spikes or a.steps != b.steps

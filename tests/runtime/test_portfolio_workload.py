@@ -1,35 +1,30 @@
-"""Workload/harness layers of the restart portfolio + seed-mixing fixes."""
+"""The harness driver of the restart portfolio."""
 
 from repro.csp import PortfolioConfig
 from repro.harness import csp_portfolio_solve_rate
-from repro.runtime import (
-    CSPPortfolioSweepConfig,
-    PooledSudokuSweepConfig,
-    csp_portfolio_sweep,
-    derive_task_seed,
-    pooled_sudoku_sweep,
-)
 
 
 class TestCSPPortfolioSweep:
     def test_summary_shape_and_determinism(self):
         kwargs = dict(
-            base_seed=0,
+            scenario="coloring",
+            count=4,
+            seed=0,
             max_steps=500,
             portfolio=PortfolioConfig(base_budget=60, seed=3),
             scenario_params={"num_vertices": 10, "num_colors": 3, "edge_probability": 0.8},
+            compare_fixed=False,
         )
-        config = CSPPortfolioSweepConfig(scenario="coloring", count=4, **kwargs)
-        a = csp_portfolio_sweep(config).summary
-        b = csp_portfolio_sweep(config).summary
+        a = csp_portfolio_solve_rate(**kwargs)
+        b = csp_portfolio_solve_rate(**kwargs)
         assert a["num_instances"] == 4
         assert 0.0 <= a["solve_rate"] <= 1.0
         assert a["total_attempts"] >= 4
-        assert a["total_neuron_updates"] == sum(r.neuron_updates for r in a["results"])
-        assert (a["solved"], a["total_attempts"], a["total_neuron_updates"]) == (
-            b["solved"],
+        assert a["neuron_updates"] == sum(r.neuron_updates for r in a["results"])
+        assert (a["solve_rate"], a["total_attempts"], a["neuron_updates"]) == (
+            b["solve_rate"],
             b["total_attempts"],
-            b["total_neuron_updates"],
+            b["neuron_updates"],
         )
 
 
@@ -62,11 +57,3 @@ class TestCSPPortfolioSolveRate:
             compare_fixed=False,
         )
         assert "fixed_solve_rate" not in summary
-
-
-class TestPooledSudokuSeedMixing:
-    def test_mix_seeds_default_uses_seed_sequence(self):
-        kwargs = dict(base_seed=1000, target_clues=40, max_steps=40)
-        mixed = pooled_sudoku_sweep(PooledSudokuSweepConfig(count=2, **kwargs)).summary
-        got = [r["puzzle_seed"] for r in mixed["results"]]
-        assert got == [derive_task_seed(1000, i) for i in range(2)]

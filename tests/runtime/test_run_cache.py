@@ -1,160 +1,144 @@
-"""The content-addressed on-disk RunResult cache."""
+"""The content-addressed on-disk result cache."""
 
 import pickle
 
 import pytest
 
-from repro.runtime import (
-    RunRequest,
-    RunResult,
-    RunResultCache,
-    run_many_on_backend,
-    run_on_backend,
-)
-from repro.runtime.backends import _REGISTRY, register_backend
-from repro.runtime.cache import UncacheableRequestError, _token, code_fingerprint
+from repro.runtime import RunResultCache, SweepExecutor, SweepSpec, SweepTask, SweepTaskRecord
+from repro.runtime.cache import UncacheableRequestError, _token, code_fingerprint, derive_cache_key
+from repro.runtime.sweep import _CachedTaskResult
+
+#: Executions of :func:`_counting_task` in this process (serial sweeps only).
+RUNS = []
 
 
-class CountingBackend:
-    """A deterministic stub backend that counts its executions."""
-
-    name = "counting-test"
-    description = "cache test stub"
-    level = "isa"
-    supports_batching = False
-
-    def __init__(self):
-        self.runs = 0
-
-    def build_network(self, request):
-        return None
-
-    def run(self, request):
-        self.runs += 1
-        return RunResult(
-            backend=self.name,
-            workload=request.workload,
-            num_steps=request.num_steps,
-            total_spikes=request.seed * 10,
-            metrics={"seed": float(request.seed)},
-        )
+def _counting_task(task):
+    RUNS.append(task.index)
+    return task.seed * 10
 
 
 @pytest.fixture
-def counting_backend():
-    backend = CountingBackend()
-    register_backend(backend, replace=True)
-    yield backend
-    _REGISTRY.pop(backend.name, None)
+def runs():
+    RUNS.clear()
+    yield RUNS
+    RUNS.clear()
+
+
+def _request(**overrides):
+    return {"num_neurons": 10, "num_steps": 5, "seed": 3, **overrides}
+
+
+def _cached_run(cache, request, runs, namespace="counting-test"):
+    """``get`` or compute-and-``put``: the read-through idiom of the callers."""
+    key = derive_cache_key(namespace, request)
+    result = cache.get(key)
+    if result is None:
+        runs.append(request)
+        result = {"total_spikes": request["seed"] * 10}
+        cache.put(key, result)
+    return result
 
 
 class TestCacheServesRepeatedRuns:
-    def test_repeated_run_on_backend_hits_cache(self, counting_backend, tmp_path):
+    def test_repeated_run_hits_cache(self, runs, tmp_path):
         cache = RunResultCache(tmp_path)
-        request = RunRequest(num_neurons=10, num_steps=5, seed=3)
-        first = run_on_backend("counting-test", request, cache=cache)
-        second = run_on_backend("counting-test", request, cache=cache)
-        assert counting_backend.runs == 1          # second run never hit the backend
-        assert cache.hits == 1 and cache.misses == 1 and cache.stores == 1
-        assert second.total_spikes == first.total_spikes == 30
-        assert second.metrics == first.metrics
+        first = _cached_run(cache, _request(), runs)
+        second = _cached_run(cache, _request(), runs)
+        assert len(runs) == 1  # second run never recomputed
+        assert second == first == {"total_spikes": 30}
 
-    def test_cache_distinguishes_requests_and_backends(self, counting_backend, tmp_path):
+    def test_cache_distinguishes_requests_and_backends(self, runs, tmp_path):
         cache = RunResultCache(tmp_path)
-        base = RunRequest(num_neurons=10, num_steps=5, seed=3)
-        run_on_backend("counting-test", base, cache=cache)
-        run_on_backend("counting-test", RunRequest(num_neurons=10, num_steps=5, seed=4), cache=cache)
-        run_on_backend("counting-test", RunRequest(num_neurons=10, num_steps=6, seed=3), cache=cache)
-        options = RunRequest(num_neurons=10, num_steps=5, seed=3, options={"kind": "baseline"})
-        run_on_backend("counting-test", options, cache=cache)
-        assert counting_backend.runs == 4
-        key_a = cache.key_for("counting-test", base)
-        key_b = cache.key_for("other-backend", base)
+        _cached_run(cache, _request(), runs)
+        _cached_run(cache, _request(seed=4), runs)
+        _cached_run(cache, _request(num_steps=6), runs)
+        _cached_run(cache, _request(options={"kind": "baseline"}), runs)
+        assert len(runs) == 4
+        key_a = derive_cache_key("counting-test", _request())
+        key_b = derive_cache_key("other-backend", _request())
         assert key_a != key_b
 
-    def test_cache_off_by_default(self, counting_backend, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_RUN_CACHE", raising=False)
-        request = RunRequest(num_neurons=10, num_steps=5, seed=3)
-        run_on_backend("counting-test", request)
-        run_on_backend("counting-test", request)
-        assert counting_backend.runs == 2
+    def test_cache_off_by_default(self, runs):
+        spec = SweepSpec(fn=_counting_task, seeds=[3])
+        assert spec.cache is None
+        reports = [SweepExecutor().execute(spec) for _ in range(2)]
+        assert runs == [0, 0]
+        assert [r.cache_hits for r in reports] == [0, 0]
 
-    def test_uncacheable_options_bypass_cleanly(self, counting_backend, tmp_path):
+    def test_uncacheable_options_bypass_cleanly(self, runs, tmp_path):
         cache = RunResultCache(tmp_path)
-        request = RunRequest(num_neurons=10, num_steps=5, seed=3, options={"hook": lambda: 1})
-        run_on_backend("counting-test", request, cache=cache)
-        run_on_backend("counting-test", request, cache=cache)
-        assert counting_backend.runs == 2
-        assert cache.uncacheable == 2
-        assert cache.hits == cache.misses == cache.stores == 0
+        assert derive_cache_key("counting-test", _request(hook=lambda: 1)) is None
+        spec = SweepSpec(fn=_counting_task, param_sets=[{"hook": lambda: 1}], cache=cache)
+        reports = [SweepExecutor().execute(spec) for _ in range(2)]
+        assert runs == [0, 0]
+        assert [r.cache_uncacheable for r in reports] == [1, 1]
+        assert [(r.cache_hits, r.cache_stores) for r in reports] == [(0, 0), (0, 0)]
+        assert not any(tmp_path.iterdir())
 
-    def test_corrupt_entry_is_a_miss(self, counting_backend, tmp_path):
+    def test_corrupt_entry_is_a_miss(self, runs, tmp_path):
         cache = RunResultCache(tmp_path)
-        request = RunRequest(num_neurons=10, num_steps=5, seed=3)
-        run_on_backend("counting-test", request, cache=cache)
-        key = cache.key_for("counting-test", request)
-        path = cache._path(key)
+        _cached_run(cache, _request(), runs)
+        path = cache._path(derive_cache_key("counting-test", _request()))
         path.write_bytes(b"not a pickle")
-        result = run_on_backend("counting-test", request, cache=cache)
-        assert counting_backend.runs == 2
-        assert result.total_spikes == 30
+        result = _cached_run(cache, _request(), runs)
+        assert len(runs) == 2
+        assert result == {"total_spikes": 30}
+        assert cache.quarantined == 1
         assert not path.read_bytes() == b"not a pickle"  # rewritten
 
-    def test_unframed_pickle_is_quarantined(self, counting_backend, tmp_path):
+    def test_unframed_pickle_is_quarantined(self, runs, tmp_path):
         # Bytes without the checksummed framing ``put`` writes cannot be
         # a live entry (keys cover the code fingerprint), even when they
         # unpickle to the expected type.
         cache = RunResultCache(tmp_path)
-        request = RunRequest(num_neurons=10, num_steps=5, seed=3)
-        key = cache.key_for("counting-test", request)
+        key = derive_cache_key("counting-test", _request())
         path = cache._path(key)
         path.parent.mkdir(parents=True)
-        planted = RunResult(backend="counting-test", workload="w", num_steps=5, total_spikes=-1)
-        path.write_bytes(pickle.dumps(planted))
-        assert cache.get(key, expect=RunResult) is None
+        path.write_bytes(pickle.dumps({"total_spikes": -1}))
+        assert cache.get(key, expect=dict) is None
         assert cache.quarantined == 1
-        result = run_on_backend("counting-test", request, cache=cache)
-        assert result.total_spikes == 30
-        assert counting_backend.runs == 1
+        result = _cached_run(cache, _request(), runs)
+        assert result == {"total_spikes": 30}
+        assert len(runs) == 1
 
-    def test_clear_empties_the_store(self, counting_backend, tmp_path):
+    def test_clear_empties_the_store(self, runs, tmp_path):
         cache = RunResultCache(tmp_path)
-        request = RunRequest(num_neurons=10, num_steps=5, seed=3)
-        run_on_backend("counting-test", request, cache=cache)
+        _cached_run(cache, _request(), runs)
         cache.clear()
-        run_on_backend("counting-test", request, cache=cache)
-        assert counting_backend.runs == 2
+        _cached_run(cache, _request(), runs)
+        assert len(runs) == 2
 
 
 class TestRealBackendThroughCache:
     def test_functional_backend_round_trips(self, tmp_path):
+        from repro.codegen import build_eighty_twenty_workload
+
         cache = RunResultCache(tmp_path)
-        request = RunRequest(num_neurons=12, num_steps=1, seed=3)
-        fresh = run_on_backend("functional", request, cache=cache)
-        cached = run_on_backend("functional", request, cache=cache)
-        assert cache.hits == 1
-        assert cached.backend == fresh.backend
-        assert cached.total_spikes == fresh.total_spikes
-        assert cached.metrics == fresh.metrics
+        key = derive_cache_key("functional", _request(num_neurons=12, num_steps=1))
+        workload = build_eighty_twenty_workload(num_neurons=12, num_steps=1, seed=3)
+        fsim = workload.make_simulator()
+        fsim.run()
+        fresh = {
+            "instret": fsim.instret,
+            "exit_code": fsim.exit_code,
+            "total_spikes": workload.total_spikes(fsim),
+        }
+        cache.put(key, fresh)
+        assert cache.get(key, expect=dict) == fresh
 
     def test_network_backend_raster_round_trips(self, tmp_path):
         import numpy as np
 
-        cache = RunResultCache(tmp_path)
-        request = RunRequest(num_neurons=40, num_steps=20, seed=5)
-        fresh = run_on_backend("fixed", request, cache=cache)
-        cached = run_on_backend("fixed", request, cache=cache)
-        assert cache.hits == 1
-        np.testing.assert_array_equal(cached.raster.times, fresh.raster.times)
-        np.testing.assert_array_equal(cached.raster.neuron_ids, fresh.raster.neuron_ids)
+        from repro.runtime import build_eighty_twenty_replicas
 
-    def test_run_many_on_backend_served_from_cache(self, counting_backend, tmp_path):
         cache = RunResultCache(tmp_path)
-        requests = [RunRequest(num_neurons=10, num_steps=5, seed=s) for s in (1, 2, 3)]
-        first = run_many_on_backend("counting-test", requests, cache=cache)
-        second = run_many_on_backend("counting-test", requests, cache=cache)
-        assert counting_backend.runs == 3          # the whole second sweep was cached
-        assert [r.total_spikes for r in first] == [r.total_spikes for r in second] == [10, 20, 30]
+        key = derive_cache_key("fixed", _request(num_neurons=40, num_steps=20, seed=5))
+        (network,) = build_eighty_twenty_replicas([5], num_neurons=40)
+        fresh = network.run(20)
+        cache.put(key, fresh)
+        cached = cache.get(key)
+        np.testing.assert_array_equal(cached.times, fresh.times)
+        np.testing.assert_array_equal(cached.neuron_ids, fresh.neuron_ids)
 
 
 class TestKeyDerivation:
@@ -186,24 +170,23 @@ class TestKeyDerivation:
         assert RunResultCache().root == Path.home() / ".cache" / "izhirisc-repro" / "runs"
 
     def test_request_dataclass_tokenises(self):
-        token = _token(RunRequest(num_neurons=8, num_steps=2, seed=1))
-        assert token["__dataclass__"] == "RunRequest"
+        token = _token(SweepTask(index=0, seed=1, params={"num_neurons": 8}))
+        assert token["__dataclass__"] == "SweepTask"
 
     def test_code_fingerprint_stable_within_process(self):
         assert code_fingerprint() == code_fingerprint()
         assert len(code_fingerprint()) == 64
 
-    def test_cache_key_includes_code_fingerprint(self, tmp_path, monkeypatch):
+    def test_cache_key_includes_code_fingerprint(self, monkeypatch):
         import repro.runtime.cache as cache_mod
 
-        cache = RunResultCache(tmp_path)
-        request = RunRequest(num_neurons=8, num_steps=2, seed=1)
-        key_before = cache.key_for("functional", request)
+        request = _request(num_neurons=8, num_steps=2, seed=1)
+        key_before = derive_cache_key("functional", request)
         monkeypatch.setattr(cache_mod, "_FINGERPRINT", "0" * 64)
-        assert cache.key_for("functional", request) != key_before
+        assert derive_cache_key("functional", request) != key_before
 
     def test_results_pickle_with_highest_protocol(self):
-        result = RunResult(backend="x", workload="w", num_steps=1, total_spikes=0)
+        result = _CachedTaskResult(value={"total_spikes": 0})
         assert pickle.loads(pickle.dumps(result, pickle.HIGHEST_PROTOCOL)) == result
 
 
@@ -238,9 +221,7 @@ class TestCacheTokenProtocol:
         c.add_conflict("x", 1, "y", 1)
         assert _token(a) != _token(c)  # extra edge changes the token
 
-    def test_derive_cache_key_module_level(self, tmp_path):
-        from repro.runtime.cache import derive_cache_key
-
+    def test_derive_cache_key_module_level(self):
         key = derive_cache_key("serve", {"a": 1})
         assert key == derive_cache_key("serve", {"a": 1})
         assert key != derive_cache_key("serve", {"a": 2})
@@ -251,8 +232,8 @@ class TestCacheTokenProtocol:
         cache = RunResultCache(tmp_path)
         key = "cd" + "1" * 62
         cache.put(key, {"wrong": "type"})
-        assert cache.get(key, expect=RunResult) is None
+        assert cache.get(key, expect=SweepTaskRecord) is None
         assert not cache._path(key).exists()
-        result = RunResult(backend="x", workload="w", num_steps=1, total_spikes=0)
+        result = SweepTaskRecord(index=0, seed=1, worker=-1, duration=0.0, cached=False, attempts=1)
         cache.put(key, result)
-        assert cache.get(key, expect=RunResult) == result
+        assert cache.get(key, expect=SweepTaskRecord) == result

@@ -224,26 +224,10 @@ class TestCacheResume:
 
 
 class TestReportAccounting:
-    def test_worker_utilisation_and_bench_record(self):
+    def test_worker_utilisation(self):
         params = [{"x": i} for i in range(8)]
         report = SweepExecutor(mode="process", max_workers=2).execute(
             SweepSpec(fn=_echo_task, param_sets=params, base_seed=3, chunk_size=2)
         )
         util = report.worker_utilisation()
         assert all(0.0 <= v for v in util.values())
-        record = report.bench_record()
-        assert record["tasks"] == 8
-        assert record["mode"] == "process"
-        assert record["lease_retries"] == report.lease_retries
-        import json
-
-        json.dumps(record)  # must be JSON-able as-is
-
-    def test_bench_view_consolidates_bench_files(self, tmp_path):
-        import json
-
-        (tmp_path / "BENCH_other.json").write_text(json.dumps({"ok": 1}))
-        report = SweepExecutor().execute(SweepSpec(fn=_echo_task, seeds=[1]))
-        view = report.bench_view(tmp_path)
-        assert view["sweep"]["tasks"] == 1
-        assert view["bench"]["BENCH_other.json"] == {"ok": 1}

@@ -176,7 +176,7 @@ class TestLayering:
         )
         assert result.ok, result.render_text()
 
-    def test_deferred_upward_import_passes(self, tmp_path):
+    def test_deferred_upward_import_fails(self, tmp_path):
         result = lint(
             tmp_path,
             {
@@ -188,7 +188,23 @@ class TestLayering:
                 """
             },
         )
-        assert result.ok, result.render_text()
+        assert rules_hit(result) == ["RL001"]
+        assert "upward import" in result.violations[0].message
+
+    def test_deferred_adapter_import_fails(self, tmp_path):
+        result = lint(
+            tmp_path,
+            {
+                "src/repro/runtime/lazy_adapter.py": """\
+                def build():
+                    from ..sudoku import SNNSudokuSolver
+
+                    return SNNSudokuSolver
+                """
+            },
+        )
+        assert rules_hit(result) == ["RL001"]
+        assert "adapter" in result.violations[0].message
 
     def test_type_checking_upward_import_passes(self, tmp_path):
         result = lint(

@@ -35,8 +35,8 @@ class LayeringConfig:
         }
     )
     #: Adapter packages sit outside the layer stack: they may import any
-    #: layer, and layered code may import them only lazily (function
-    #: scope), never at module scope.
+    #: layer, and layered code never imports them (only under
+    #: ``if TYPE_CHECKING:``).
     adapters: Tuple[str, ...] = ("harness", "sudoku", "codegen", "hw", "quickstart")
     #: The only subtree allowed to call the batch recomposition mutators
     #: directly (absorbed from the retired ``tools/check_layering.py``).

@@ -2,18 +2,19 @@
 
 The layered package stack (``isa``/``sim``/``fixedpoint``/``snn`` <
 ``runtime`` < ``csp`` < ``serve``) keeps the bit-exactness contracts
-auditable: a lower layer never executes higher-layer code at import
-time.  Two kinds of edge are special:
+auditable: a lower layer never depends on higher-layer code.  Imports in
+layered code may only point down or sideways, wherever they sit —
+module scope or function scope.  Two kinds of edge are rejected:
 
-* **Adapters** (``harness``, ``sudoku``, ``codegen``, ``hw``,
-  ``quickstart``) sit outside the stack.  They may import any layer;
-  layered code may reach *into* an adapter only through a deferred
-  (function-scope) import — the workload-registration seams in
-  ``runtime/backends.py``/``workloads.py`` are the sanctioned examples.
-* **Upward edges** inside the stack are legal only when deferred, for
-  the same reason: importing the lower layer must never pull the higher
-  one in.  Promoting one of these lazy imports to module scope is the
-  classic "cleanup" regression this rule exists to catch.
+* **Adapter imports.**  The adapters (``harness``, ``sudoku``,
+  ``codegen``, ``hw``, ``quickstart``) sit outside the stack.  They may
+  import any layer, but layered code never imports an adapter.
+* **Upward edges** inside the stack.  A function-scope import is no
+  exception: it hides the dependency from the import graph without
+  removing it.
+
+Imports under ``if TYPE_CHECKING:`` never execute and stay allowed, so
+annotations may name higher-layer types.
 
 The rule also absorbs the retired ``tools/check_layering.py``: direct
 ``BatchedNetwork.retain``/``.extend`` calls outside ``repro.runtime``
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..config import ReprolintConfig
 from ..engine import SourceFile, Violation, dotted_name
@@ -39,8 +40,8 @@ class LayeringRule:
     rule_id = "RL001"
     name = "layering"
     description = (
-        "module-scope imports must point down the layer stack; batch "
-        "recomposition stays inside repro.runtime"
+        "imports must point down the layer stack; batch recomposition "
+        "stays inside repro.runtime"
     )
 
     # ------------------------------------------------------------------ #
@@ -84,41 +85,28 @@ class LayeringRule:
             package_parts = module_parts[:-1]
 
         violations: List[Violation] = []
-        for node, deferred in _walk_imports(source.tree):
+        for node, type_only in _walk_imports(source.tree):
             for target in _import_targets(node, package_parts):
-                if target == source_pkg:
+                if target == source_pkg or type_only:
                     continue
                 if target in cfg.adapters:
-                    if not deferred:
-                        violations.append(
-                            Violation(
-                                self.rule_id,
-                                source.rel,
-                                node.lineno,
-                                node.col_offset,
-                                f"module-scope import of adapter package "
-                                f"'repro.{target}' from layered package "
-                                f"'repro.{source_pkg}' — adapters may only be "
-                                "imported lazily (function scope)",
-                            )
-                        )
-                    continue
-                target_level = cfg.layers.get(target)
-                if target_level is None or target_level <= source_level:
-                    continue
-                if not deferred:
-                    violations.append(
-                        Violation(
-                            self.rule_id,
-                            source.rel,
-                            node.lineno,
-                            node.col_offset,
-                            f"upward import: 'repro.{source_pkg}' (layer "
-                            f"{source_level}) imports 'repro.{target}' (layer "
-                            f"{target_level}) at module scope — defer it to "
-                            "function scope or invert the dependency",
-                        )
+                    message = (
+                        f"import of adapter package 'repro.{target}' from layered "
+                        f"package 'repro.{source_pkg}' — adapters build on the "
+                        "layers, never the other way round"
                     )
+                else:
+                    target_level = cfg.layers.get(target)
+                    if target_level is None or target_level <= source_level:
+                        continue
+                    message = (
+                        f"upward import: 'repro.{source_pkg}' (layer {source_level}) "
+                        f"imports 'repro.{target}' (layer {target_level}) — invert "
+                        "the dependency"
+                    )
+                violations.append(
+                    Violation(self.rule_id, source.rel, node.lineno, node.col_offset, message)
+                )
         return violations
 
     # ------------------------------------------------------------------ #
@@ -149,22 +137,21 @@ class LayeringRule:
 
 # ---------------------------------------------------------------------- #
 def _walk_imports(tree: ast.AST) -> List[Tuple[ast.stmt, bool]]:
-    """Every import statement with a flag: is it deferred (function scope
-    or under ``if TYPE_CHECKING:``)?"""
+    """Every import statement with a flag: is it under ``if TYPE_CHECKING:``
+    (and so never executed)?"""
     found: List[Tuple[ast.stmt, bool]] = []
 
-    def visit(node: ast.AST, deferred: bool) -> None:
-        for child in ast.iter_child_nodes(node):
+    def visit(nodes: Iterable[ast.AST], type_only: bool) -> None:
+        for child in nodes:
             if isinstance(child, (ast.Import, ast.ImportFrom)):
-                found.append((child, deferred))
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                visit(child, True)
+                found.append((child, type_only))
             elif isinstance(child, ast.If) and _is_type_checking(child.test):
-                visit(child, True)
+                visit(child.body, True)
+                visit(child.orelse, type_only)
             else:
-                visit(child, deferred)
+                visit(ast.iter_child_nodes(child), type_only)
 
-    visit(tree, False)
+    visit(ast.iter_child_nodes(tree), False)
     return found
 
 
