@@ -9,14 +9,14 @@ connectivity in CSR form and a small result/scratch area.
 
 :class:`NetworkDataLayout` computes the addresses; :func:`encode_network_data`
 turns a :class:`WorkloadSpec` (parameters, initial state, weights, inputs)
-into the word image that is pre-loaded into the simulator's memory before
-the program runs.
+into one contiguous little-endian byte image of ``[layout.base, layout.end)``
+that is copied into the simulator's memory before the program runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -29,11 +29,20 @@ __all__ = ["ONCHIP_BASE", "NetworkDataLayout", "WorkloadSpec", "encode_network_d
 ONCHIP_BASE = 0x1000_0000
 
 _MASK16 = 0xFFFF
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
 class NetworkDataLayout:
-    """Addresses of every data structure used by the generated kernels."""
+    """Addresses of every data structure used by the generated kernels.
+
+    The image is ``4 * (n * (6 + steps) + 2 * synapses + 5)`` bytes for
+    ``n`` neurons. It must end inside the 4 MiB ``onchip`` region
+    (``end <= 0x1040_0000`` at the default base) to be timed as on-chip
+    data: past it the words land in unmapped memory, which the
+    cycle-accurate core charges the off-chip miss penalty. Dense 80-20
+    images outgrow the region above about 720 neurons.
+    """
 
     num_neurons: int
     num_steps: int
@@ -177,68 +186,52 @@ class WorkloadSpec:
         when neuron ``s`` spikes).
         """
         n = self.num_neurons
-        weights = np.asarray(self.weights, dtype=np.float64)
+        weights_t = np.asarray(self.weights, dtype=np.float64).T
+        pre, post = np.nonzero(weights_t)
         row_ptr = np.zeros(n + 1, dtype=np.int64)
-        cols: List[np.ndarray] = []
-        vals: List[np.ndarray] = []
-        for pre in range(n):
-            targets = np.nonzero(weights[:, pre])[0]
-            cols.append(targets)
-            vals.append(weights[targets, pre])
-            row_ptr[pre + 1] = row_ptr[pre] + len(targets)
-        col_index = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-        weight = np.concatenate(vals) if vals else np.zeros(0, dtype=np.float64)
-        return row_ptr, col_index.astype(np.int64), weight
+        row_ptr[1:] = np.bincount(pre, minlength=n).cumsum()
+        return row_ptr, post.astype(np.int64), weights_t[pre, post]
 
     def layout(self, *, base: int = ONCHIP_BASE) -> NetworkDataLayout:
-        row_ptr, col_index, _ = self.csr()
         return NetworkDataLayout(
             num_neurons=self.num_neurons,
             num_steps=self.num_steps,
-            num_synapses=int(row_ptr[-1]),
+            num_synapses=int(np.count_nonzero(np.asarray(self.weights, dtype=np.float64))),
             base=base,
         )
 
 
-def encode_network_data(spec: WorkloadSpec, layout: NetworkDataLayout) -> List[Tuple[int, int]]:
-    """Encode a workload into ``(address, word)`` pairs for memory pre-load."""
-    words: List[Tuple[int, int]] = []
+def encode_network_data(spec: WorkloadSpec, layout: NetworkDataLayout) -> bytes:
+    """Encode a workload into the little-endian image of ``[layout.base, layout.end)``.
+
+    Every region is built as one block of words, masked to 32 bits (negative
+    Q-format payloads wrap, as :meth:`repro.sim.memory.Memory.store_word`
+    does), and the blocks are joined in address order.
+    """
+    row_ptr, col_index, weight = spec.csr()
+    n = spec.num_neurons
+    counts = (layout.num_neurons, layout.num_steps, layout.num_synapses)
+    if counts != (n, spec.num_steps, len(col_index)):
+        raise ValueError(f"layout {layout} does not describe workload {spec.name!r}")
+
+    def bits(fmt, values: np.ndarray) -> np.ndarray:
+        return np.asarray(fmt.to_unsigned(fmt.from_float(np.asarray(values, dtype=np.float64))))
 
     v_raw = np.asarray(Q7_8.from_float(np.asarray(spec.v0, dtype=np.float64)))
     u_raw = np.asarray(Q7_8.from_float(np.asarray(spec.u0, dtype=np.float64)))
-    vu_words = np.asarray(pack_vu(v_raw, u_raw))
-    for i, word in enumerate(vu_words):
-        words.append((layout.vu_base + 4 * i, int(word)))
+    params = np.empty((n, 2), dtype=np.int64)
+    params[:, 0] = ((bits(Q4_11, spec.b) & _MASK16) << 16) | (bits(Q4_11, spec.a) & _MASK16)
+    params[:, 1] = ((bits(Q4_11, spec.d) & _MASK16) << 16) | (bits(Q7_8, spec.c) & _MASK16)
 
-    for i in range(spec.num_neurons):
-        words.append((layout.current_base + 4 * i, 0))
-
-    a_bits = np.asarray(Q4_11.to_unsigned(Q4_11.from_float(np.asarray(spec.a, dtype=np.float64))))
-    b_bits = np.asarray(Q4_11.to_unsigned(Q4_11.from_float(np.asarray(spec.b, dtype=np.float64))))
-    c_bits = np.asarray(Q7_8.to_unsigned(Q7_8.from_float(np.asarray(spec.c, dtype=np.float64))))
-    d_bits = np.asarray(Q4_11.to_unsigned(Q4_11.from_float(np.asarray(spec.d, dtype=np.float64))))
-    for i in range(spec.num_neurons):
-        ab_word = ((int(b_bits[i]) & _MASK16) << 16) | (int(a_bits[i]) & _MASK16)
-        dc_word = ((int(d_bits[i]) & _MASK16) << 16) | (int(c_bits[i]) & _MASK16)
-        words.append((layout.param_base + 8 * i, ab_word))
-        words.append((layout.param_base + 8 * i + 4, dc_word))
-
-    inputs = np.asarray(spec.external_input, dtype=np.float64)
-    input_raw = np.asarray(Q15_16.from_float(inputs))
-    input_bits = np.asarray(Q15_16.to_unsigned(input_raw))
-    for t in range(spec.num_steps):
-        base = layout.input_base + 4 * t * spec.num_neurons
-        for i in range(spec.num_neurons):
-            words.append((base + 4 * i, int(input_bits[t, i])))
-
-    row_ptr, col_index, weight = spec.csr()
-    for i, value in enumerate(row_ptr):
-        words.append((layout.rowptr_base + 4 * i, int(value)))
-    weight_bits = np.asarray(Q15_16.to_unsigned(Q15_16.from_float(weight))) if len(weight) else []
-    for k in range(len(col_index)):
-        words.append((layout.syn_index_base + 4 * k, int(col_index[k])))
-        words.append((layout.syn_weight_base + 4 * k, int(weight_bits[k])))
-
-    for i in range(4):
-        words.append((layout.result_base + 4 * i, 0))
-    return words
+    blocks = (
+        pack_vu(v_raw, u_raw),  # vu_base
+        np.zeros(n),  # current_base
+        params,  # param_base: (b<<16|a), (d<<16|c) per neuron
+        bits(Q15_16, spec.external_input),  # input_base: [num_steps, num_neurons]
+        row_ptr,  # rowptr_base
+        col_index,  # syn_index_base
+        bits(Q15_16, weight),  # syn_weight_base
+        np.zeros(n + 4),  # spike_buffer_base, then the 4 result words
+    )
+    words = np.concatenate([np.asarray(block, dtype=np.int64).ravel() for block in blocks])
+    return (words & _MASK32).astype("<u4").tobytes()

@@ -57,8 +57,7 @@ class Workload:
         memory = Memory(DEFAULT_MEMORY_MAP())
         fsim = FunctionalSimulator(memory, fast_dispatch=fast_dispatch)
         fsim.load_program(self.program)
-        for address, word in encode_network_data(self.spec, self.layout):
-            memory.store_word(address, word)
+        memory.load_bytes(encode_network_data(self.spec, self.layout), base=self.layout.base)
         return fsim
 
     # ------------------------------------------------------------------ #
@@ -120,6 +119,12 @@ def build_eighty_twenty_workload(
     The neuron population keeps the 80/20 excitatory/inhibitory split and
     Izhikevich's parameter distributions; the dense random connectivity and
     the per-step thalamic noise are scaled to ``num_neurons``.
+
+    The dense weights make the data image grow as ``num_neurons**2``: above
+    about 720 neurons it no longer fits the 4 MiB on-chip region (see
+    :class:`~repro.codegen.layout.NetworkDataLayout`). The default 1000
+    neurons builds an 8 MB image, whose tail the cycle-accurate core times
+    as off-chip memory; the functional results are unaffected.
     """
     if num_neurons < 5:
         raise ValueError("the 80-20 network needs at least 5 neurons")

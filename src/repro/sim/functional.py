@@ -20,6 +20,7 @@ Program termination follows a small environment convention:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -186,7 +187,10 @@ class FunctionalSimulator:
     def _compile_at(self, pc: int):
         from .dispatch import compile_entry
 
-        entry = compile_entry(self, self.fetch_decode(pc))
+        # The handlers live in ``self._compiled``: bound to a weak proxy they
+        # form no reference cycle with the simulator, so a dropped simulator
+        # and its memory pages are freed at once, not at the next cyclic GC.
+        entry = compile_entry(weakref.proxy(self), self.fetch_decode(pc))
         self._compiled[pc] = entry
         return entry
 

@@ -11,6 +11,7 @@ and bus timing models.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -133,11 +134,25 @@ class Memory:
         return page, address & _PAGE_MASK
 
     def _check(self, address: int, size: int) -> None:
+        """Check a ``size``-byte access: in the 32-bit space and, if strict, fully mapped."""
         if address < 0 or address + size > (1 << 32):
             raise MemoryError32(f"address {address:#x} outside 32-bit space")
         if self.strict and self.memory_map is not None:
-            if self.memory_map.find(address) is None:
-                raise MemoryError32(f"access to unmapped address {address:#x}")
+            cursor, end = address, address + size
+            while cursor < end:
+                region = self.memory_map.find(cursor)
+                if region is None:
+                    raise MemoryError32(f"access to unmapped address {cursor:#x}")
+                cursor = region.end
+
+    @staticmethod
+    def _spans(address: int, size: int) -> Iterable[Tuple[int, int]]:
+        """Split ``[address, address + size)`` at page boundaries into ``(address, length)``."""
+        end = address + size
+        while address < end:
+            length = min(_PAGE_SIZE - (address & _PAGE_MASK), end - address)
+            yield address, length
+            address += length
 
     def region_of(self, address: int) -> Optional[Region]:
         """Return the region containing ``address`` (if a map is attached)."""
@@ -149,9 +164,10 @@ class Memory:
     # Byte / halfword / word accessors (little endian)
     # ------------------------------------------------------------------ #
     def load_byte(self, address: int) -> int:
+        # Reads never allocate: an unwritten page reads as zeros.
         self._check(address, 1)
-        page, offset = self._page(address)
-        return page[offset]
+        page = self._pages.get(address >> _PAGE_BITS)
+        return 0 if page is None else page[address & _PAGE_MASK]
 
     def store_byte(self, address: int, value: int) -> None:
         self._check(address, 1)
@@ -181,7 +197,7 @@ class Memory:
             raise MemoryError32(f"access to unmapped address {address:#x}")
         page = self._pages.get(address >> _PAGE_BITS)
         if page is None:
-            page, _ = self._page(address)
+            return 0
         offset = address & _PAGE_MASK
         return int.from_bytes(page[offset : offset + 4], "little")
 
@@ -202,22 +218,47 @@ class Memory:
     # Bulk helpers
     # ------------------------------------------------------------------ #
     def load_program(self, words: Iterable[int], *, base: int) -> None:
-        """Copy a sequence of 32-bit words into memory starting at ``base``."""
-        for i, word in enumerate(words):
-            self.store_word(base + 4 * i, word)
+        """Copy a sequence of 32-bit words into memory starting at ``base``.
+
+        Each word is masked to 32 bits, as :meth:`store_word` does.
+        """
+        if base & 3:
+            raise MemoryError32(f"misaligned word store at {base:#x}")
+        packed = [word & _MASK32 for word in words]
+        self.load_bytes(struct.pack(f"<{len(packed)}I", *packed), base=base)
 
     def load_bytes(self, data: bytes, *, base: int) -> None:
-        """Copy raw bytes into memory starting at ``base``."""
-        for i, b in enumerate(data):
-            self.store_byte(base + i, b)
+        """Copy raw bytes into memory starting at ``base``.
+
+        The whole block is checked before any byte is written, then copied
+        one page slice at a time.
+        """
+        view = memoryview(data).cast("B")
+        self._check(base, len(view))
+        done = 0
+        for address, length in self._spans(base, len(view)):
+            page, offset = self._page(address)
+            page[offset : offset + length] = view[done : done + length]
+            done += length
 
     def read_bytes(self, address: int, length: int) -> bytes:
-        """Read ``length`` bytes starting at ``address``."""
-        return bytes(self.load_byte(address + i) for i in range(length))
+        """Read ``length`` bytes starting at ``address`` (unwritten bytes read 0)."""
+        self._check(address, length)
+        out = bytearray(length)
+        done = 0
+        for start, size in self._spans(address, length):
+            page = self._pages.get(start >> _PAGE_BITS)
+            if page is not None:
+                offset = start & _PAGE_MASK
+                out[done : done + size] = page[offset : offset + size]
+            done += size
+        return bytes(out)
 
     def read_words(self, address: int, count: int) -> List[int]:
         """Read ``count`` consecutive words starting at ``address``."""
-        return [self.load_word(address + 4 * i) for i in range(count)]
+        if address & 3:
+            raise MemoryError32(f"misaligned word load at {address:#x}")
+        return list(struct.unpack(f"<{count}I", self.read_bytes(address, 4 * count)))
 
     @property
     def allocated_bytes(self) -> int:

@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from repro.codegen import (
+    NetworkDataLayout,
+    Workload,
     WorkloadSpec,
     baseline_kernel,
     build_eighty_twenty_workload,
+    build_sudoku_workload,
+    build_workload,
     encode_network_data,
     extension_kernel,
     kernel_source,
 )
+from repro.fixedpoint import Q4_11, Q7_8, Q15_16
+from repro.fixedpoint.vuword import pack_vu
 from repro.isa import assemble
+from repro.sim import DEFAULT_MEMORY_MAP, Memory
 
 
 def tiny_spec(num_neurons=4, num_steps=2):
@@ -91,21 +98,241 @@ class TestEncoding:
     def test_encoded_image_fits_layout(self):
         spec = tiny_spec()
         layout = spec.layout()
-        words = encode_network_data(spec, layout)
-        addresses = [a for a, _ in words]
-        assert min(addresses) == layout.vu_base
-        assert max(addresses) < layout.end
-        assert len(addresses) == len(set(addresses))  # no overlaps
+        image = encode_network_data(spec, layout)
+        # One contiguous image of [layout.base, layout.end), VU words first.
+        assert isinstance(image, bytes)
+        assert layout.vu_base == layout.base
+        assert len(image) == layout.end - layout.base
 
     def test_vu_words_match_initial_state(self):
         from repro.fixedpoint import unpack_vu_float
 
         spec = tiny_spec()
         layout = spec.layout()
-        image = dict(encode_network_data(spec, layout))
-        v, u = unpack_vu_float(image[layout.vu_base])
+        image = encode_network_data(spec, layout)
+        offset = layout.vu_base - layout.base
+        v, u = unpack_vu_float(int.from_bytes(image[offset : offset + 4], "little"))
         assert v == pytest.approx(-65.0, abs=0.01)
         assert u == pytest.approx(-13.0, abs=0.01)
+
+    def test_layout_must_match_spec(self):
+        spec = tiny_spec()
+        layout = spec.layout()
+        stale = NetworkDataLayout(layout.num_neurons, layout.num_steps, layout.num_synapses + 1)
+        with pytest.raises(ValueError):
+            encode_network_data(spec, stale)
+
+
+def reference_csr(weights):
+    """The per-column CSR loop the vectorised :meth:`WorkloadSpec.csr` replaced."""
+    n = weights.shape[0]
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    cols, vals = [], []
+    for pre in range(n):
+        targets = np.nonzero(weights[:, pre])[0]
+        cols.append(targets)
+        vals.append(weights[targets, pre])
+        row_ptr[pre + 1] = row_ptr[pre] + len(targets)
+    return row_ptr, np.concatenate(cols).astype(np.int64), np.concatenate(vals)
+
+
+def reference_words(spec, layout):
+    """The per-word ``(address, word)`` encoder the byte image replaced."""
+    words = []
+
+    v_raw = np.asarray(Q7_8.from_float(np.asarray(spec.v0, dtype=np.float64)))
+    u_raw = np.asarray(Q7_8.from_float(np.asarray(spec.u0, dtype=np.float64)))
+    vu_words = np.asarray(pack_vu(v_raw, u_raw))
+    for i, word in enumerate(vu_words):
+        words.append((layout.vu_base + 4 * i, int(word)))
+
+    for i in range(spec.num_neurons):
+        words.append((layout.current_base + 4 * i, 0))
+
+    a_bits = np.asarray(Q4_11.to_unsigned(Q4_11.from_float(np.asarray(spec.a, dtype=np.float64))))
+    b_bits = np.asarray(Q4_11.to_unsigned(Q4_11.from_float(np.asarray(spec.b, dtype=np.float64))))
+    c_bits = np.asarray(Q7_8.to_unsigned(Q7_8.from_float(np.asarray(spec.c, dtype=np.float64))))
+    d_bits = np.asarray(Q4_11.to_unsigned(Q4_11.from_float(np.asarray(spec.d, dtype=np.float64))))
+    for i in range(spec.num_neurons):
+        ab_word = ((int(b_bits[i]) & 0xFFFF) << 16) | (int(a_bits[i]) & 0xFFFF)
+        dc_word = ((int(d_bits[i]) & 0xFFFF) << 16) | (int(c_bits[i]) & 0xFFFF)
+        words.append((layout.param_base + 8 * i, ab_word))
+        words.append((layout.param_base + 8 * i + 4, dc_word))
+
+    inputs = np.asarray(spec.external_input, dtype=np.float64)
+    input_raw = np.asarray(Q15_16.from_float(inputs))
+    input_bits = np.asarray(Q15_16.to_unsigned(input_raw))
+    for t in range(spec.num_steps):
+        base = layout.input_base + 4 * t * spec.num_neurons
+        for i in range(spec.num_neurons):
+            words.append((base + 4 * i, int(input_bits[t, i])))
+
+    row_ptr, col_index, weight = reference_csr(np.asarray(spec.weights, dtype=np.float64))
+    for i, value in enumerate(row_ptr):
+        words.append((layout.rowptr_base + 4 * i, int(value)))
+    weight_bits = np.asarray(Q15_16.to_unsigned(Q15_16.from_float(weight))) if len(weight) else []
+    for k in range(len(col_index)):
+        words.append((layout.syn_index_base + 4 * k, int(col_index[k])))
+        words.append((layout.syn_weight_base + 4 * k, int(weight_bits[k])))
+
+    for i in range(4):
+        words.append((layout.result_base + 4 * i, 0))
+    return words
+
+
+def reference_memory(workload):
+    """Memory as loaded one ``store_word`` at a time (program, then data)."""
+    memory = Memory(DEFAULT_MEMORY_MAP())
+    for i, word in enumerate(workload.program.words):
+        memory.store_word(workload.program.origin + 4 * i, word)
+    for address, word in reference_words(workload.spec, workload.layout):
+        memory.store_word(address, word)
+    return memory
+
+
+def pages(memory):
+    return {index: bytes(page) for index, page in memory._pages.items()}
+
+
+def wta_weights():
+    from repro.sudoku.wta import WTAConfig, build_wta_synapses
+
+    return np.asarray(build_wta_synapses(WTAConfig()).matrix.todense(), dtype=np.float64)
+
+
+def eighty_twenty_weights(num_neurons=200, seed=5):
+    from repro.snn.eighty_twenty import build_eighty_twenty, eighty_twenty_config
+
+    return np.asarray(build_eighty_twenty(eighty_twenty_config(num_neurons, seed)).weights)
+
+
+def spec_with_weights(weights, num_steps=2, **overrides):
+    n = weights.shape[0]
+    fields = dict(
+        a=np.full(n, 0.02), b=np.full(n, 0.2), c=np.full(n, -65.0), d=np.full(n, 8.0),
+        v0=np.full(n, -65.0), u0=np.full(n, -13.0), weights=weights,
+        external_input=np.random.default_rng(1).normal(5.0, 1.0, size=(num_steps, n)),
+        name="custom",
+    )
+    fields.update(overrides)
+    return WorkloadSpec(**fields)
+
+
+class TestVectorisedCsr:
+    @pytest.mark.parametrize(
+        "make_weights", [wta_weights, eighty_twenty_weights], ids=["wta", "8020"]
+    )
+    def test_matches_per_column_loop(self, make_weights):
+        weights = make_weights()
+        spec = spec_with_weights(weights)
+        for got, want in zip(spec.csr(), reference_csr(weights)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert spec.layout().num_synapses == len(spec.csr()[1])
+
+
+@pytest.fixture(scope="module")
+def board():
+    from repro.sudoku import PuzzleGenerator
+
+    return PuzzleGenerator().generate(seed=3, target_clues=35).puzzle
+
+
+GOLDEN_BUILDS = {
+    "8020-256n-12t": lambda board, kind: build_eighty_twenty_workload(
+        num_neurons=256, num_steps=12, kind=kind
+    ),
+    "8020-48n-2t": lambda board, kind: build_eighty_twenty_workload(
+        num_neurons=48, num_steps=2, kind=kind
+    ),
+    "wta-3t": lambda board, kind: build_sudoku_workload(board, num_steps=3, kind=kind),
+    "wta-1t": lambda board, kind: build_sudoku_workload(board, num_steps=1, kind=kind),
+    "no-synapses": lambda board, kind: build_workload(spec_with_weights(np.zeros((9, 9))), kind=kind),
+    "negative": lambda board, kind: build_workload(
+        spec_with_weights(
+            -np.abs(eighty_twenty_weights(24, seed=9)),
+            num_steps=3,
+            b=np.full(24, -0.25),
+            d=np.full(24, -2.0),
+            external_input=np.random.default_rng(2).normal(-20.0, 5.0, size=(3, 24)),
+        ),
+        kind=kind,
+    ),
+}
+
+
+class TestGoldenImage:
+    @pytest.mark.parametrize("kind", ["extension", "baseline"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BUILDS))
+    def test_memory_matches_per_word_loader(self, name, kind, board):
+        workload = GOLDEN_BUILDS[name](board, kind)
+        got, want = pages(workload.make_simulator().memory), pages(reference_memory(workload))
+        assert sorted(got) == sorted(want)
+        assert [index for index in want if got[index] != want[index]] == []
+
+    def test_load_makes_no_per_word_stores(self, board, monkeypatch):
+        calls = {"store_word": 0, "store_byte": 0}
+        for name in calls:
+            original = getattr(Memory, name)
+
+            def counted(self, address, value, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, address, value)
+
+            monkeypatch.setattr(Memory, name, counted)
+        build_sudoku_workload(board, num_steps=3).make_simulator()
+        assert calls == {"store_word": 0, "store_byte": 0}
+
+
+class _Built(Exception):
+    """Stops a driver right after it builds its first simulator."""
+
+
+class TestOnChipCapacity:
+    """Every image the drivers build is timed as on-chip data: it ends inside ``onchip``."""
+
+    ONCHIP_END = DEFAULT_MEMORY_MAP().region("onchip").end
+
+    @pytest.fixture
+    def layouts(self, monkeypatch):
+        seen = []
+
+        def record(workload, **_):
+            seen.append(workload.layout)
+            raise _Built
+
+        monkeypatch.setattr(Workload, "make_simulator", record)
+        return seen
+
+    def run(self, driver, layouts):
+        with pytest.raises(_Built):
+            driver()
+        assert layouts and all(layout.end <= self.ONCHIP_END for layout in layouts)
+
+    def test_quickstart(self, layouts):
+        from repro import quickstart
+
+        self.run(quickstart.time_it_on_the_pipeline, layouts)
+
+    @pytest.mark.parametrize(
+        "driver", ["table5_eighty_twenty", "table6_sudoku", "softfloat_speedup"]
+    )
+    def test_harness(self, driver, layouts):
+        from repro.harness import experiments
+
+        self.run(getattr(experiments, driver), layouts)
+
+    def test_perfbench_iss_programs(self, monkeypatch):
+        from perfbench.workloads import IssPrograms
+
+        seen = []
+        monkeypatch.setattr(
+            Workload, "make_simulator", lambda workload, **_: seen.append(workload.layout)
+        )
+        bench = IssPrograms()
+        bench.setup(bench.prepare(1), workdir=None)
+        assert len(seen) == 8
+        assert all(layout.end <= self.ONCHIP_END for layout in seen)
 
 
 class TestKernels:

@@ -113,6 +113,65 @@ class TestBulkHelpers:
         mem.store_word(0x4000_0000, 1)
         assert mem.allocated_bytes == 2 * 4096
 
+    def test_block_at_unaligned_base_crosses_page(self):
+        mem = Memory()
+        mem.load_bytes(b"\x01\x02\x03\x04\x05\x06\x07", base=0xFFE)
+        assert mem.read_bytes(0xFFC, 11) == b"\x00\x00\x01\x02\x03\x04\x05\x06\x07\x00\x00"
+        assert mem.load_byte(0xFFF) == 0x02 and mem.load_byte(0x1000) == 0x03
+        assert mem.load_word(0x1000) == 0x06050403
+        assert mem.allocated_bytes == 2 * 4096
+
+    def test_block_spanning_three_pages(self):
+        mem = Memory()
+        data = bytes(range(256)) * 20  # 5120 bytes from 0x1F00 to 0x3300
+        mem.load_bytes(data, base=0x1F00)
+        assert mem.allocated_bytes == 3 * 4096
+        assert mem.read_bytes(0x1F00, len(data)) == data
+        assert mem.read_words(0x2000, 2) == [
+            int.from_bytes(data[0x100:0x104], "little"),
+            int.from_bytes(data[0x104:0x108], "little"),
+        ]
+
+    def test_strict_block_leaving_the_map_writes_nothing(self):
+        mem = Memory(DEFAULT_MEMORY_MAP(), strict=True)
+        onchip_end = mem.memory_map.region("onchip").end
+        with pytest.raises(MemoryError32):
+            mem.load_bytes(b"\xAA" * 8, base=onchip_end - 4)
+        assert mem.allocated_bytes == 0
+        mem.load_bytes(b"\xAA" * 4, base=onchip_end - 4)  # the mapped head alone is fine
+        assert mem.load_word(onchip_end - 4) == 0xAAAAAAAA
+
+    def test_block_past_32bit_space_raises(self):
+        mem = Memory()
+        with pytest.raises(MemoryError32):
+            mem.load_bytes(b"\x00" * 8, base=(1 << 32) - 4)
+        with pytest.raises(MemoryError32):
+            mem.load_program([1, 2], base=(1 << 32) - 4)
+        with pytest.raises(MemoryError32):
+            mem.read_bytes((1 << 32) - 4, 8)
+        assert mem.allocated_bytes == 0
+
+    def test_load_program_masks_like_store_word(self):
+        words = [-1, -2, 1 << 32 | 7, 0x8000_0000]
+        bulk, single = Memory(), Memory()
+        bulk.load_program(words, base=0x40)
+        for i, word in enumerate(words):
+            single.store_word(0x40 + 4 * i, word)
+        assert bulk.read_words(0x40, 4) == single.read_words(0x40, 4) == [
+            0xFFFFFFFF, 0xFFFFFFFE, 7, 0x8000_0000,
+        ]
+        with pytest.raises(MemoryError32):
+            bulk.load_program([1], base=0x42)
+
+    def test_reads_do_not_allocate(self):
+        mem = Memory()
+        assert mem.load_word(0x1000_0000) == 0
+        assert mem.load_byte(0x2000_0001) == 0
+        assert mem.load_half(0x3000_0002) == 0
+        assert mem.read_bytes(0x4000_0FFE, 8) == bytes(8)
+        assert mem.read_words(0x5000_0000, 3) == [0, 0, 0]
+        assert mem.allocated_bytes == 0
+
     def test_region_of(self):
         mem = Memory(DEFAULT_MEMORY_MAP())
         assert mem.region_of(0x1000_0000).name == "onchip"
