@@ -593,7 +593,7 @@ def csp_portfolio_solve_rate(
     pool at the *same* global step budget — the restart portfolio's
     contractual claim is a solve rate at least as high for measurably
     fewer total neuron updates, which
-    ``benchmarks/bench_csp_solver.py`` gates.
+    ``tests/runtime/test_portfolio_workload.py`` gates.
 
     Both engines draw their per-instance first-attempt seeds from the
     same ``SeedSequence`` scheme, so the baseline is the exact engine the

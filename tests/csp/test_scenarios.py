@@ -149,6 +149,28 @@ class TestSolves:
             if result.solved:
                 assert graph.is_solution(result.values, result.decided)
 
+    @pytest.mark.parametrize(
+        "scenario, params, solver_seed",
+        [
+            ("coloring", {"num_vertices": 12, "num_colors": 3}, 1),
+            ("queens", {"n": 6}, 1),
+            ("latin", {"n": 4, "clamp_fraction": 0.5}, 7),
+        ],
+    )
+    def test_scenario_solve_rate_floor(self, scenario, params, solver_seed):
+        """Every family solves at least 3 of its 4 instances in 4000 steps.
+
+        One noise seed per replica: the queens instances are structurally
+        identical, so seed diversity has to come from the solver side.
+        """
+        instances = [make_instance(scenario, seed=i, **params) for i in range(4)]
+        seeds = [solver_seed + i for i in range(4)]
+        results = solve_instances(instances, seeds=seeds, max_steps=4000, check_interval=10)
+        assert sum(r.solved for r in results) / len(results) >= 0.75
+        for (graph, _), result in zip(instances, results):
+            if result.solved:
+                assert graph.is_solution(result.values, result.decided)
+
     def test_batch_is_bit_identical_to_sequential(self):
         instances = [make_instance("latin", n=4, seed=s) for s in range(2)]
         batched = solve_instances(instances, seeds=[7, 7], max_steps=400)

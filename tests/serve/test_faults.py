@@ -104,10 +104,11 @@ def test_deadline_expiry_returns_typed_timeout():
 
 
 def test_running_deadline_expires_at_checkpoint():
-    # A near-threshold instance (the hard-pool parameters from
-    # benchmarks/bench_csp_solver.py) needs hundreds of steps, so it
-    # cannot finish before the ~35-step deadline regardless of the
-    # code-fingerprint-derived solve seed (request keys fold in
+    # A near-threshold instance (the hard-pool parameters of the
+    # portfolio gate in tests/runtime/test_portfolio_workload.py) needs
+    # hundreds of steps, so it cannot finish before the ~35-step
+    # deadline regardless of the code-fingerprint-derived solve seed
+    # (request keys fold in
     # repro.runtime.cache.code_fingerprint, so *any* source change
     # reshuffles trajectories — an easy instance here makes the test
     # flake across unrelated commits).

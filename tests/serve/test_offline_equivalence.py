@@ -162,11 +162,12 @@ def test_open_loop_load_matches_standalone_and_repeats_deterministically():
             async with service:
                 rows = await run_open_loop(service, spec)
                 await service.stop(drain=True)
-            return rows
+            return rows, service.metrics().as_dict()
 
         return asyncio.run(main())
 
-    first, second = run_once(), run_once()
+    (first, metrics), (second, repeat_metrics) = run_once(), run_once()
+    assert repeat_metrics == metrics
     config = CSPConfig()
     from repro.serve import build_instance_pool
 
@@ -182,3 +183,14 @@ def test_open_loop_load_matches_standalone_and_repeats_deterministically():
                 clamps, max_steps=MAX_STEPS, check_interval=CHECK_INTERVAL
             )
         _assert_result_equal(offline_by_pick[pick], served.result)
+
+    # The request ledger balances and the drain left nothing in flight.
+    assert (
+        metrics["served"] + metrics["shed"] + metrics["cancelled"] + metrics["in_flight"]
+        == metrics["submitted"]
+    )
+    assert metrics["in_flight"] == 0
+    assert metrics["solved"] / spec.total_requests >= 0.9
+    # Every repeat of a pool instance is coalesced or served from the memo.
+    unique = len({(pick, served.seed, served.max_steps) for _, pick, served in first})
+    assert metrics["cache_hits"] + metrics["coalesced"] == spec.total_requests - unique

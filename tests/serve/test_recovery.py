@@ -231,6 +231,45 @@ def test_recovery_without_history_is_a_cold_start(tmp_path):
     assert metrics.checkpoints >= 1  # it checkpointed while serving
 
 
+#: Durability counters differ between a plain and a durable run by
+#: construction; every other metric must be identical.
+_DURABILITY_KEYS = {"checkpoints", "restores", "restored_rows", "replayed", "checkpoint_failures"}
+
+
+def _scheduling_metrics(metrics):
+    return {k: v for k, v in metrics.as_dict().items() if k not in _DURABILITY_KEYS}
+
+
+def test_durable_open_loop_matches_plain_run(tmp_path):
+    """Checkpoints plus the admission journal change no served bit."""
+    spec = OpenLoopLoad(
+        num_clients=3,
+        requests_per_client=4,
+        mean_interarrival_steps=25.0,
+        scenario="coloring",
+        scenario_params={"num_vertices": 9, "num_colors": 3},
+        unique_instances=5,
+        seed=21,
+        max_steps=800,
+    )
+    service = dict(capacity=4, check_interval=10, default_max_steps=800, seed=21, clock="steps")
+    rows_plain, metrics_plain, _ = run_open_loop_sync(spec, **service)
+    rows, metrics, _ = run_open_loop_sync(
+        spec,
+        checkpoint_dir=str(tmp_path / "ckpts"),
+        checkpoint_every=100,
+        journal_path=str(tmp_path / "journal.wal"),
+        **service,
+    )
+
+    assert [(c, p) for c, p, _ in rows] == [(c, p) for c, p, _ in rows_plain]
+    served, plain = [r for _, _, r in rows], [r for _, _, r in rows_plain]
+    assert None not in served + plain  # nothing was shed
+    _assert_serve_results_identical(served, plain)
+    assert _scheduling_metrics(metrics) == _scheduling_metrics(metrics_plain)
+    assert metrics.checkpoints >= 1 and metrics.restores == 0
+
+
 # --------------------------------------------------------------------- #
 # Supervised serving: kill -9 the child, lose no request
 # --------------------------------------------------------------------- #

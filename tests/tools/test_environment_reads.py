@@ -2,15 +2,18 @@
 
 Behaviour must not depend on the environment: a switch that turns a
 feature on or off belongs in a parameter.  Only deployment paths may
-come from the environment.  This test parses every module under
-``src/repro`` and collects the variable names read through
-``os.environ`` or ``os.getenv``.
+come from the environment, and the benchmarks read none at all: a
+workload size or a floor is a constant in the file.  This test parses
+every module under ``src/repro`` and ``benchmarks`` and collects the
+variable names read through ``os.environ`` or ``os.getenv``.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
+BENCHMARKS = ROOT / "benchmarks"
 
 ALLOWED = {"XDG_CACHE_HOME", "REPRO_RUN_CACHE_DIR"}
 
@@ -87,12 +90,22 @@ def _env_reads(path: Path):
     return reads
 
 
-def test_only_directory_settings_come_from_the_environment():
+def _reads_under(root: Path):
+    """First ``path:line`` of every variable read by a module under ``root``."""
     names = {}
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(root.rglob("*.py")):
         for name, line in _env_reads(path):
-            names.setdefault(name, f"{path.relative_to(SRC.parent)}:{line}")
+            names.setdefault(name, f"{path.relative_to(ROOT)}:{line}")
+    return names
+
+
+def test_only_directory_settings_come_from_the_environment():
+    names = _reads_under(SRC)
     assert set(names) == ALLOWED, names
+
+
+def test_benchmarks_read_no_environment():
+    assert _reads_under(BENCHMARKS) == {}
 
 
 def test_collector_sees_every_read_form(tmp_path):

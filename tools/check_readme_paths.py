@@ -10,8 +10,8 @@ from rotting as the tree evolves.
 
 GitHub Actions workflow files (``.github/workflows/*.yml``) are checked
 too — every line is treated as code — so CI steps that invoke scripts or
-benchmark files (``tools/check_bench_regression.py``,
-``benchmarks/bench_csp_solver.py``, ...) break the docs lint instead of
+benchmark files (``tools/check_readme_paths.py``,
+``benchmarks/bench_speed_floors.py``, ...) break the docs lint instead of
 the live pipeline when a referenced file is moved.
 
 Usage:  python tools/check_readme_paths.py [files...]
@@ -29,13 +29,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Top-level directories whose mention must resolve to a real path.
-KNOWN_ROOTS = ("src", "tests", "benchmarks", "examples", "docs", "tools", ".github")
-
-#: Path prefixes of generated (gitignored) outputs: referenced from docs
-#: and CI but absent in a fresh checkout, so existence is not required.
-#: The committed reference copies under ``benchmarks/baselines/`` do not
-#: match these prefixes and stay fully checked.
-GENERATED_PREFIXES = ("benchmarks/BENCH_",)
+KNOWN_ROOTS = ("src", "tests", "benchmarks", "perfbench", "examples", "docs", "tools", ".github")
 
 #: Top-level files whose mention must resolve.
 KNOWN_FILES = (
@@ -102,8 +96,6 @@ def check_file(markdown: Path) -> list:
         if not cleaned or cleaned.endswith("/"):
             cleaned = cleaned.rstrip("/")
         if not cleaned:
-            continue
-        if cleaned.startswith(GENERATED_PREFIXES):
             continue
         target = REPO_ROOT / cleaned
         if not target.exists():
