@@ -3,8 +3,9 @@
 Every floor races a fast path against the slower path it replaced, on
 the same machine and in the same process, so a floor means the same on
 a laptop and on a shared CI runner.  There are no baselines, no
-environment knobs and no output files: one workload size and one floor
-per ratio, printed with ``-s``.
+environment knobs and no output files (the cache floor's store lives in
+pytest's ``tmp_path``): one workload size and one floor per ratio,
+printed with ``-s``.
 
 Each floor first checks that its two sides computed the same result (a
 speedup between different computations would measure nothing), then
